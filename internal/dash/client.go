@@ -53,7 +53,7 @@ var ErrCircuitOpen = errors.New("dash: circuit open")
 var ErrBudgetExhausted = errors.New("dash: retry budget exhausted")
 
 // StatusError is a non-2xx response, carrying any Retry-After hint the
-// server attached. withRetry unwraps it to decide retryability and
+// server attached. RetrySignal unwraps it to decide retryability and
 // pacing; loadgen unwraps it to classify failures.
 type StatusError struct {
 	Status     int
@@ -101,22 +101,46 @@ func Classify(err error) string {
 	return ClassTransport
 }
 
+// retryAfterSeconds renders a backoff hint as the integer seconds a
+// server's Retry-After header carries: rounded up, never below 1 ("0"
+// would invite an immediate retry).
+func retryAfterSeconds(d time.Duration) int64 {
+	secs := int64((d + time.Second - 1) / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	return secs
+}
+
+// honoredRetryAfter is the pause a client takes for an advertised
+// Retry-After of secs: none for a non-positive value, at most
+// maxRetryAfter.
+func honoredRetryAfter(secs int64) time.Duration {
+	if secs <= 0 {
+		return 0
+	}
+	if secs > int64(maxRetryAfter/time.Second) {
+		return maxRetryAfter
+	}
+	return time.Duration(secs) * time.Second
+}
+
+// RetryAfterHint is the pause a Client honours when a server sheds
+// with backoff hint d: the header round trip, for the loadgen
+// simulator, which models the exchange without a header.
+func RetryAfterHint(d time.Duration) time.Duration {
+	return honoredRetryAfter(retryAfterSeconds(d))
+}
+
 // parseRetryAfter reads a Retry-After header deterministically:
 // integer seconds only (the HTTP-date form needs a wall clock to
-// interpret, which internal/ does not have), capped at maxRetryAfter.
+// interpret, which internal/ does not have).
 func parseRetryAfter(h string) time.Duration {
-	if h == "" {
+	secs, err := strconv.ParseInt(h, 10, 64)
+	if err != nil {
 		return 0
 	}
-	secs, err := strconv.Atoi(h)
-	if err != nil || secs <= 0 {
-		return 0
-	}
-	d := time.Duration(secs) * time.Second
-	if d > maxRetryAfter {
-		d = maxRetryAfter
-	}
-	return d
+	return honoredRetryAfter(secs)
 }
 
 // Resilience arms the client's overload defenses. All fields are
@@ -169,61 +193,50 @@ func (c *Client) ResilienceStats() ClientStats {
 	}
 }
 
-// retryableErr reports whether a failed attempt is worth retrying:
-// transport errors and 5xx/429 are; other 4xx are not — re-sending a
-// request the server rejected outright only burns the backoff budget.
-func retryableErr(err error) bool {
+// RetrySignal reads a failed attempt for resilience.Retrier.OnFailure:
+// whether it is worth retrying (transport errors and 5xx/429 are;
+// other 4xx are not — re-sending a request the server rejected
+// outright only burns the backoff budget) and the Retry-After hint it
+// carried.
+func RetrySignal(err error) (ok bool, hint time.Duration) {
 	var se *StatusError
 	if errors.As(err, &se) {
-		return retryable(se.Status)
+		return retryable(se.Status), se.RetryAfter
 	}
-	return true // transport-level failure
+	return true, 0 // transport-level failure
 }
 
-// withRetry runs attempt up to the policy's budget, pacing retries by
-// (in priority order) the server's Retry-After hint, then the capped
-// exponential backoff, jittered on the client's seed lane. The
-// breaker gates every attempt; the retry budget gates every attempt
-// after the first.
+// withRetry runs attempt until it succeeds or the client's
+// resilience.Retrier ends the fetch, sleeping on the injected clock
+// for each retry the Retrier schedules.
 func (c *Client) withRetry(attempt func() error) error {
-	attempts := c.retry.Attempts
-	if attempts <= 0 {
-		attempts = 1
+	r := resilience.Retrier{
+		Attempts: c.retry.Attempts, Backoff: c.retry.Backoff, BackoffCap: c.retry.BackoffCap,
+		Budget: c.res.Budget, Breaker: c.res.Breaker, Jitter: c.res.Jitter,
 	}
-	backoff := c.retry.Backoff
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			if !c.res.Budget.Allow() {
-				return fmt.Errorf("%w after %w", ErrBudgetExhausted, err)
-			}
-			delay := backoff
-			if backoff *= 2; backoff > c.retry.BackoffCap {
-				backoff = c.retry.BackoffCap
-			}
-			var se *StatusError
-			if errors.As(err, &se) && se.RetryAfter > delay {
-				delay = se.RetryAfter
-				c.waited.Add(1)
-			}
-			c.sleep(resilience.Jitter(c.res.Jitter, delay))
+	r.Begin()
+	for {
+		if !r.Allow(c.Now()) {
+			return fmt.Errorf("%w (attempt %d)", ErrCircuitOpen, r.Attempt())
 		}
-		if !c.res.Breaker.Allow(c.Now()) {
-			// A fast-fail is not evidence about the origin: it does not
-			// feed back into the breaker.
-			return fmt.Errorf("%w (attempt %d)", ErrCircuitOpen, i+1)
-		}
-		if err = attempt(); err == nil {
-			c.res.Breaker.OnSuccess(c.Now())
-			c.res.Budget.OnSuccess()
+		err := attempt()
+		if err == nil {
+			r.OnSuccess(c.Now())
 			return nil
 		}
-		c.res.Breaker.OnFailure(c.Now())
-		if !retryableErr(err) {
+		ok, hint := RetrySignal(err)
+		step := r.OnFailure(c.Now(), ok, hint)
+		switch step.Verdict {
+		case resilience.Stop:
 			return err
+		case resilience.Exhausted:
+			return fmt.Errorf("%w after %w", ErrBudgetExhausted, err)
 		}
+		if step.Hinted {
+			c.waited.Add(1)
+		}
+		c.sleep(step.Delay)
 	}
-	return err
 }
 
 // get issues one GET with the tenant header attached, returning the

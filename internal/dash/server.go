@@ -285,7 +285,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		d := s.governor.Admit(tenant)
 		switch d.Kind {
 		case cdn.Shed:
-			w.Header().Set("Retry-After", retryAfterSeconds(d.RetryAfter))
+			w.Header().Set("Retry-After", strconv.FormatInt(retryAfterSeconds(d.RetryAfter), 10))
 			http.Error(w, "overloaded", d.Status)
 			return
 		case cdn.Queued:
@@ -364,16 +364,6 @@ func (s *Server) demoteRung(rung Rung, steps int) Rung {
 		idx = 0
 	}
 	return s.ladder[idx]
-}
-
-// retryAfterSeconds renders a backoff hint as the integer-seconds
-// Retry-After form (minimum 1 — "0" would invite an immediate retry).
-func retryAfterSeconds(d time.Duration) string {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
 }
 
 // synthPattern is the immutable 64 KiB filler block every synthetic

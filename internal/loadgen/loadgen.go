@@ -29,6 +29,7 @@ import (
 	"math/rand"
 	"net/http"
 	"sort"
+	"sync"
 	"time"
 
 	"coalqoe/internal/dash"
@@ -195,8 +196,33 @@ func playerSeed(seed int64, player int) int64 {
 	return seed + int64(h.Sum64()&0x7fffffff)
 }
 
+// armPlayer builds one player's client-side defenses: a retry budget
+// of budget tokens, a breaker opening after threshold consecutive
+// failures, and — with jitter — a backoff-jitter stream on the
+// player's seed lane. Zero values leave a defense off. The jitter
+// stream is a second rand stream on the lane (playerSeed ^ 0x6a09e667)
+// so its draws never perturb the start-offset stream. Run and RunSim
+// both arm their players here: a seed arms the same player in each.
+func armPlayer(seed int64, player int, budget float64, threshold int, cooldown time.Duration, jitter bool) dash.Resilience {
+	var res dash.Resilience
+	if budget > 0 {
+		res.Budget = resilience.NewRetryBudget(resilience.BudgetConfig{Capacity: budget})
+	}
+	if threshold > 0 {
+		res.Breaker = resilience.NewBreaker(resilience.BreakerConfig{
+			FailThreshold: threshold,
+			Cooldown:      cooldown,
+		})
+	}
+	if jitter {
+		res.Jitter = rand.New(rand.NewSource(playerSeed(seed, player) ^ 0x6a09e667))
+	}
+	return res
+}
+
 // recorder is one player's private metrics — written only by that
-// player's goroutine, merged by the coordinator after the drain.
+// player (its goroutine, or the sim's event loop), folded into the
+// Result only after the run.
 type recorder struct {
 	requests int64
 	errors   int64
@@ -208,6 +234,14 @@ type recorder struct {
 	errClasses []int64
 }
 
+func newRecorder() recorder {
+	return recorder{
+		latency:    newLatencySketch(),
+		perRung:    make(map[string]int64),
+		errClasses: make([]int64, len(dash.ErrorClasses)),
+	}
+}
+
 // classIndex maps a dash error class to its errClasses slot.
 var classIndex = func() map[string]int {
 	m := make(map[string]int, len(dash.ErrorClasses))
@@ -217,9 +251,102 @@ var classIndex = func() map[string]int {
 	return m
 }()
 
-// tenantOf returns player i's tenant ("" without a tenant model).
-func tenantOf(cfg *Config, player int) string {
-	return tenantAt(cfg.Tenants, player)
+// add folds src into r. rungs fixes the per-rung key order.
+func (r *recorder) add(src *recorder, rungs []string) {
+	r.requests += src.requests
+	r.errors += src.errors
+	r.bytes += src.bytes
+	r.latency.Merge(src.latency)
+	for _, id := range rungs {
+		if n := src.perRung[id]; n > 0 {
+			r.perRung[id] += n
+		}
+	}
+	for ci := range src.errClasses {
+		r.errClasses[ci] += src.errClasses[ci]
+	}
+}
+
+// add folds one player's defense counters in.
+func (c *ClientResilience) add(cs dash.ClientStats) {
+	c.BudgetSpent += cs.Budget.Spent
+	c.BudgetDenied += cs.Budget.Denied
+	c.Opens += cs.Breaker.Opens
+	c.FastFails += cs.Breaker.FastFails
+	c.Probes += cs.Breaker.Probes
+	c.Hedges += cs.Hedges
+	c.Waited += cs.Waited
+}
+
+// foldRecorders folds the per-player recorders into a Result — the one
+// fold Run and RunSim share. Each of workers goroutines folds a
+// contiguous player range into a partial, and the partials fold in
+// index order: integer addition and sketch merges over fixed schemas,
+// so the outcome is identical for every worker count. rungs fixes the
+// per-rung key order, tenants (if any) adds the per-tenant split, and
+// defenses(i) reads player i's client-side defense counters.
+func foldRecorders(recs []recorder, rungs, tenants []string, workers int, defenses func(player int) dash.ClientStats) *Result {
+	if workers > len(recs) {
+		workers = len(recs)
+	}
+	partials := make([]recorder, workers)
+	var wg sync.WaitGroup
+	// Goroutine count is bounded by workers, a configured capacity.
+	for w := 0; w < workers; w++ {
+		partials[w] = newRecorder()
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			lo, hi := w*len(recs)/workers, (w+1)*len(recs)/workers
+			for i := lo; i < hi; i++ {
+				partials[w].add(&recs[i], rungs)
+			}
+		}(w)
+	}
+	wg.Wait()
+	total := &partials[0]
+	for w := 1; w < workers; w++ {
+		total.add(&partials[w], rungs)
+	}
+
+	res := &Result{
+		Players:       len(recs),
+		Requests:      total.requests,
+		Errors:        total.errors,
+		Bytes:         total.bytes,
+		Latency:       total.latency,
+		PerRung:       total.perRung,
+		ErrorsByClass: make(map[string]int64),
+	}
+	for ci, class := range dash.ErrorClasses {
+		if n := total.errClasses[ci]; n > 0 {
+			res.ErrorsByClass[class] = n
+		}
+	}
+	if len(tenants) > 0 {
+		res.PerTenant = make(map[string]TenantResult, len(tenants))
+	}
+	for i := range recs {
+		res.Resilience.add(defenses(i))
+		if res.PerTenant != nil {
+			rec, name := &recs[i], tenantAt(tenants, i)
+			tr := res.PerTenant[name]
+			tr.Players++
+			tr.Requests += rec.requests
+			tr.Errors += rec.errors
+			tr.Bytes += rec.bytes
+			res.PerTenant[name] = tr
+		}
+	}
+	return res
+}
+
+// tenantAt assigns tenants round-robin ("" without a tenant model).
+func tenantAt(tenants []string, player int) string {
+	if len(tenants) == 0 {
+		return ""
+	}
+	return tenants[player%len(tenants)]
 }
 
 // pickRung returns the highest-bitrate representation whose bitrate
@@ -296,11 +423,7 @@ func Run(cfg Config) (*Result, error) {
 
 	recorders := make([]recorder, cfg.Players)
 	for i := range recorders {
-		recorders[i] = recorder{
-			latency:    newLatencySketch(),
-			perRung:    make(map[string]int64),
-			errClasses: make([]int64, len(dash.ErrorClasses)),
-		}
+		recorders[i] = newRecorder()
 	}
 	// Clients live in a coordinator-owned slice (bounded by Players, a
 	// configured capacity) so their resilience counters survive the
@@ -324,49 +447,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 	elapsed := cfg.Now().Sub(start)
 
-	res := &Result{
-		Players:       cfg.Players,
-		Elapsed:       elapsed,
-		Latency:       newLatencySketch(),
-		PerRung:       make(map[string]int64),
-		ErrorsByClass: make(map[string]int64),
+	rungs := make([]string, len(reps))
+	for i, rep := range reps {
+		rungs[i] = rep.ID
 	}
-	if len(cfg.Tenants) > 0 {
-		res.PerTenant = make(map[string]TenantResult, len(cfg.Tenants))
-	}
-	for i := range recorders {
-		rec := &recorders[i]
-		res.Requests += rec.requests
-		res.Errors += rec.errors
-		res.Bytes += rec.bytes
-		res.Latency.Merge(rec.latency)
-		for _, rep := range reps {
-			if n := rec.perRung[rep.ID]; n > 0 {
-				res.PerRung[rep.ID] += n
-			}
-		}
-		for ci, class := range dash.ErrorClasses {
-			if n := rec.errClasses[ci]; n > 0 {
-				res.ErrorsByClass[class] += n
-			}
-		}
-		if res.PerTenant != nil {
-			tr := res.PerTenant[tenantOf(&cfg, i)]
-			tr.Players++
-			tr.Requests += rec.requests
-			tr.Errors += rec.errors
-			tr.Bytes += rec.bytes
-			res.PerTenant[tenantOf(&cfg, i)] = tr
-		}
-		cs := clients[i].ResilienceStats()
-		res.Resilience.BudgetSpent += cs.Budget.Spent
-		res.Resilience.BudgetDenied += cs.Budget.Denied
-		res.Resilience.Opens += cs.Breaker.Opens
-		res.Resilience.FastFails += cs.Breaker.FastFails
-		res.Resilience.Probes += cs.Breaker.Probes
-		res.Resilience.Hedges += cs.Hedges
-		res.Resilience.Waited += cs.Waited
-	}
+	res := foldRecorders(recorders, rungs, cfg.Tenants, 1,
+		func(i int) dash.ClientStats { return clients[i].ResilienceStats() })
+	res.Elapsed = elapsed
 	return res, nil
 }
 
@@ -376,21 +463,8 @@ func Run(cfg Config) (*Result, error) {
 // budget, breaker, and jitter all ride its own FNV seed lane.
 func runPlayer(cfg *Config, client *dash.Client, reps []dash.RungDTO, nsegs, player int, deadline time.Time, rec *recorder) {
 	rng := rand.New(rand.NewSource(playerSeed(cfg.Seed, player)))
-	res := dash.Resilience{Tenant: tenantOf(cfg, player), Hedge: cfg.Hedge}
-	if cfg.RetryBudget > 0 {
-		res.Budget = resilience.NewRetryBudget(resilience.BudgetConfig{Capacity: cfg.RetryBudget})
-	}
-	if cfg.BreakerThreshold > 0 {
-		res.Breaker = resilience.NewBreaker(resilience.BreakerConfig{
-			FailThreshold: cfg.BreakerThreshold,
-			Cooldown:      cfg.BreakerCooldown,
-		})
-	}
-	if cfg.Jitter {
-		// A separate rand stream on the same lane: backoff jitter draws
-		// must not perturb the start-offset draw sequence.
-		res.Jitter = rand.New(rand.NewSource(playerSeed(cfg.Seed, player) ^ 0x6a09e667))
-	}
+	res := armPlayer(cfg.Seed, player, cfg.RetryBudget, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Jitter)
+	res.Tenant, res.Hedge = tenantAt(cfg.Tenants, player), cfg.Hedge
 	client.SetResilience(res)
 	seg := rng.Intn(nsegs)
 	rep := reps[0] // start conservative, like a cold player

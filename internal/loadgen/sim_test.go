@@ -213,7 +213,7 @@ func TestSimByteIdenticalReports(t *testing.T) {
 	}
 }
 
-// TestSimDefaultsAndDrain covers the config-default path and verifies
+// TestSimHealthyBaseline covers the config-default path and verifies
 // the run drains cleanly: a small unprotected fleet with no faults
 // serves everything it asks for.
 func TestSimHealthyBaseline(t *testing.T) {

@@ -2,7 +2,9 @@
 // primitives the streaming backend's players carry: a retry *budget*
 // (token bucket refilled by successes) that replaces unbounded
 // capped-exponential retries, a per-origin circuit breaker with
-// half-open probing, and a deterministic backoff jitter helper. The
+// half-open probing, a deterministic backoff jitter helper, and the
+// Retrier that sequences them into one retry decision per failed
+// attempt for both dash.Client and the loadgen simulator. The
 // design target is the retry storm the paper's philosophy predicts:
 // under a server-side fault window, a fleet of synchronized players
 // retrying in lockstep multiplies the very load that caused the

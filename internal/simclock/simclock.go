@@ -1,5 +1,6 @@
-// Package simclock implements the discrete-event simulation kernel that
-// drives the Android device model.
+// Package simclock implements the discrete-event simulation kernel: it
+// drives the Android device model and the virtual-time overload
+// simulator (loadgen.RunSim) alike.
 //
 // All simulator packages share one Clock. Time is virtual: it advances
 // only when the event loop dispatches the next scheduled event, so a
