@@ -7,28 +7,30 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"coalqoe/internal/proc"
 	"coalqoe/internal/study"
-	"coalqoe/internal/units"
 )
 
 func main() {
-	fleet := study.RunFleet(20, 7)
+	agg, _, err := study.RunFleetStream(study.FleetConfig{Users: 20, Seed: 7})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("recruited %d, kept %d with >=%.0fh interactive data\n\n",
-		len(fleet.Recruited), len(fleet.Kept), study.MinInteractiveHours)
+		agg.Recruited, agg.Kept, study.MinInteractiveHours)
 
 	fmt.Printf("%-8s %5s %6s %22s %14s\n", "user", "RAM", "util", "signals/h (M/L/C)", "time pressured")
-	for _, l := range fleet.Logs {
-		high := l.TimeShare[proc.Moderate] + l.TimeShare[proc.Low] + l.TimeShare[proc.Critical]
+	for _, s := range agg.Summaries {
 		fmt.Printf("%-8s %4.0fG %5.0f%% %7.1f /%5.1f /%5.1f %13.1f%%\n",
-			l.User.ID, float64(l.User.RAM)/float64(units.GiB),
-			100*l.MedianUtilization,
-			l.SignalsPerHour[proc.Moderate], l.SignalsPerHour[proc.Low], l.SignalsPerHour[proc.Critical],
-			100*high)
+			s.ID, s.RAMGiB,
+			100*s.MedianUtilization,
+			s.SignalsPerHour[proc.Moderate], s.SignalsPerHour[proc.Low], s.SignalsPerHour[proc.Critical],
+			100*s.HighShare)
 	}
 
-	ins := fleet.Table1()
+	ins := agg.Table1()
 	fmt.Println()
 	fmt.Printf("experienced pressure (>=1 signal/h): %.0f%%\n", ins.PctAnySignal)
 	fmt.Printf("median utilization >= 60%%:           %.0f%%\n", ins.PctUtilOver60)

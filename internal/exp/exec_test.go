@@ -141,14 +141,15 @@ func TestUnreached(t *testing.T) {
 }
 
 // TestConcurrentRunAndFleet races a controlled video run against the §3
-// fleet simulation, which has its own internal worker fan-out. Run with
-// -race this verifies the two share no hidden state.
+// fleet engine, which fans its shards out over its own workers. Run
+// with -race this verifies the two share no hidden state.
 func TestConcurrentRunAndFleet(t *testing.T) {
 	var wg sync.WaitGroup
+	var fleetErr error
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		study.RunFleet(8, 42)
+		_, _, fleetErr = study.RunFleetStream(study.FleetConfig{Users: 8, Seed: 42, Workers: 2})
 	}()
 	go func() {
 		defer wg.Done()
@@ -160,4 +161,7 @@ func TestConcurrentRunAndFleet(t *testing.T) {
 		}, 2, 1)
 	}()
 	wg.Wait()
+	if fleetErr != nil {
+		t.Fatalf("RunFleetStream: %v", fleetErr)
+	}
 }

@@ -138,9 +138,6 @@ func (t *Thread) CPUTime() time.Duration { return t.cpuTime }
 // QueueLen returns the number of queued (unfinished) jobs.
 func (t *Thread) QueueLen() int { return t.queueLen() }
 
-// Idle reports whether the thread has no pending work.
-func (t *Thread) Idle() bool { return t.queueLen() == 0 }
-
 // Dead reports whether the thread has been killed.
 func (t *Thread) Dead() bool { return t.dead }
 

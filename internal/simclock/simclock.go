@@ -221,9 +221,6 @@ func (c *Clock) EnableDigest() {
 	}
 }
 
-// DigestEnabled reports whether the dispatch digest is accumulating.
-func (c *Clock) DigestEnabled() bool { return c.digestOn }
-
 // Digest returns the accumulated event-order digest (0 when disabled).
 func (c *Clock) Digest() uint64 {
 	if !c.digestOn {

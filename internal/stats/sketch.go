@@ -19,6 +19,13 @@
 //     ((Hi-Lo)/NBins, see MaxQuantileError), values outside the range
 //     clamp into the edge bins, and memory stays O(NBins) forever.
 //
+// It is one of the repository's two histogram types. It exists for
+// summaries built in pieces and then merged: fleet shards
+// (study.FleetAggregate) and loadgen's per-player latency, merged
+// after a run. Those need merging, order independence and exactness
+// below the cap. telemetry.Histogram, the other type, is nil-safe and
+// allocation-free for the single-goroutine simulator instead.
+//
 // No float accumulators are carried across folds: counts are integers
 // and derived statistics (mean, quantiles) are computed at query time
 // from the canonical state, so float non-associativity cannot make a
@@ -88,7 +95,8 @@ func (s *QuantileSketch) Add(x float64) {
 	}
 }
 
-// binOf clamps x into a bin index, like Histogram.Add.
+// binOf clamps x into a bin index, so out-of-range values land in
+// the edge bins.
 func (s *QuantileSketch) binOf(x float64) int {
 	i := int((x - s.lo) / (s.hi - s.lo) * float64(s.nbins))
 	if i < 0 {
@@ -345,35 +353,4 @@ func (s *QuantileSketch) UnmarshalJSON(data []byte) error {
 		n: j.N, min: j.Min, max: j.Max, exact: j.Exact, sorted: true, bins: j.Bins,
 	}
 	return nil
-}
-
-// Merge folds o's bins into h. Both histograms must share their range
-// and bin count. Fixed-bin histograms are the simplest mergeable CDF
-// summary: counts just add, in any order or grouping.
-func (h *Histogram) Merge(o *Histogram) {
-	if h.Lo != o.Lo || h.Hi != o.Hi || len(h.Counts) != len(o.Counts) {
-		panic(fmt.Sprintf("stats: merging incompatible histograms [%v,%v)/%d vs [%v,%v)/%d",
-			h.Lo, h.Hi, len(h.Counts), o.Lo, o.Hi, len(o.Counts)))
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.total += o.total
-}
-
-// CDFAt returns the fraction of samples in bins whose upper edge is at
-// or below x — the empirical CDF at bin granularity.
-func (h *Histogram) CDFAt(x float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	cum := 0
-	for i, c := range h.Counts {
-		if h.Lo+float64(i+1)*width > x {
-			break
-		}
-		cum += c
-	}
-	return float64(cum) / float64(h.total)
 }

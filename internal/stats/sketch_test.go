@@ -193,30 +193,3 @@ func TestSketchClampsOutOfRange(t *testing.T) {
 		t.Errorf("median %v outside observed range", q)
 	}
 }
-
-func TestHistogramMergeAndCDF(t *testing.T) {
-	a := NewHistogram(0, 10, 10)
-	b := NewHistogram(0, 10, 10)
-	for _, x := range []float64{1, 2, 3} {
-		a.Add(x)
-	}
-	for _, x := range []float64{7, 8, 9} {
-		b.Add(x)
-	}
-	a.Merge(b)
-	if a.Total() != 6 {
-		t.Fatalf("merged total = %d", a.Total())
-	}
-	if got := a.CDFAt(5); got != 0.5 {
-		t.Errorf("CDFAt(5) = %v, want 0.5", got)
-	}
-	if got := a.CDFAt(10); got != 1 {
-		t.Errorf("CDFAt(10) = %v, want 1", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("merging incompatible histograms should panic")
-		}
-	}()
-	a.Merge(NewHistogram(0, 20, 10))
-}

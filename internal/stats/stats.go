@@ -205,46 +205,6 @@ func (b BoxPlot) String() string {
 		b.Min, b.Q1, b.Median, b.Q3, b.Max, b.N)
 }
 
-// Histogram is a fixed-bin histogram.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram over [lo, hi) with nbins bins.
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram [%v,%v) nbins=%d", lo, hi, nbins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-}
-
-// Add records a sample. Samples outside [lo, hi) are clamped to the
-// first/last bin so tails remain visible.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of samples added.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the share of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
 // Ratio returns a/b, or 0 when b is 0. It keeps percentage computations
 // in the experiment code tidy.
 func Ratio(a, b float64) float64 {

@@ -147,35 +147,6 @@ func TestBoxPlotOrderingProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5, 9.9, -3, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-	// -3 clamps into bin 0; 42 clamps into bin 4.
-	if h.Counts[0] != 3 {
-		t.Errorf("bin0 = %d, want 3 (0, 1.9, clamped -3)", h.Counts[0])
-	}
-	if h.Counts[4] != 2 {
-		t.Errorf("bin4 = %d, want 2 (9.9, clamped 42)", h.Counts[4])
-	}
-	if !almost(h.Fraction(0), 3.0/7, 1e-9) {
-		t.Errorf("Fraction(0) = %v", h.Fraction(0))
-	}
-}
-
-func TestHistogramPanicsOnBadArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic on hi<=lo")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestPctRatioClamp(t *testing.T) {
 	if Pct(1, 4) != 25 {
 		t.Error("Pct(1,4) != 25")

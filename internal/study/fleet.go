@@ -3,21 +3,18 @@ package study
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"coalqoe/internal/proc"
 	"coalqoe/internal/stats"
 	"coalqoe/internal/units"
 )
 
-// Fleet is the full user study: participants plus their device logs.
-// It retains one DeviceLog per kept user and is the small-panel API
-// (the paper's 80 recruits); fleets beyond a few hundred users should
-// use RunFleetStream, which folds each log into mergeable sketches
-// instead of retaining it.
+// Fleet is the retained-log reference for the user study: participants
+// plus one DeviceLog per kept user, with every figure computed directly
+// from the logs. RunFleetStream is the only fleet runner; Fleet exists
+// so tests can build one from the same logs and check that the
+// streaming FleetAggregate reproduces its Fig*/Table1 results.
 type Fleet struct {
 	// Recruited is everyone who installed the app (the paper's 80).
 	Recruited []*User
@@ -67,54 +64,6 @@ func runUserSafe(run func(*User, int64) *DeviceLog, u *User, seed int64) (log *D
 		}
 	}()
 	return run(u, seed), nil
-}
-
-// RunFleet recruits n users and simulates every kept user's device.
-// Each user is seeded independently from their identity (UserSeed), so
-// the fleet is deterministic for a given seed regardless of
-// scheduling. Work fans out across a bounded worker pool — NumCPU
-// goroutines pulling from a shared index, not one goroutine per user:
-// the old spawn-then-gate pattern created all n goroutines (and their
-// stacks) up front before the semaphore admitted any work, which is
-// exactly what a million-user fleet cannot afford.
-func RunFleet(n int, seed int64) *Fleet {
-	f := &Fleet{Recruited: GenerateUsers(n, seed)}
-	for _, u := range f.Recruited {
-		if u.InteractiveHours >= MinInteractiveHours {
-			f.Kept = append(f.Kept, u)
-		}
-	}
-	logs := make([]*DeviceLog, len(f.Kept))
-	fails := make([]error, len(f.Kept))
-	workers := runtime.NumCPU()
-	if workers > len(f.Kept) {
-		workers = len(f.Kept)
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(f.Kept) {
-					return
-				}
-				u := f.Kept[i]
-				logs[i], fails[i] = runUserSafe(RunUser, u, UserSeed(seed, u.ID))
-			}
-		}()
-	}
-	wg.Wait()
-	for i, l := range logs {
-		if fails[i] != nil {
-			f.Failures = append(f.Failures, FleetFailure{User: f.Kept[i].ID, Reason: fails[i].Error()})
-			continue
-		}
-		f.Logs = append(f.Logs, l)
-	}
-	return f
 }
 
 // Fig1Heatmap returns, per activity, the fraction of kept users giving

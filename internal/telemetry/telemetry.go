@@ -25,8 +25,11 @@
 //     sorted (name, value) snapshot so exporters need a single shape.
 //
 // Concurrency: a Registry is NOT safe for concurrent use, by design —
-// the simulation is single-goroutine. The one real-HTTP user
-// (cmd/dashserve) wraps its registry in its own mutex.
+// the simulation is single-goroutine. The concurrent fleet engine
+// (study.RunFleetStream) adds its progress counts from the calling
+// goroutine after its workers finish. The real-HTTP serving path does
+// not use a Registry at all: dash.Server keeps its own atomic counters
+// (internal/dash/metrics.go).
 package telemetry
 
 import (
@@ -120,6 +123,13 @@ const histBuckets = 32
 // k holds [2^(k-1), 2^k) µs. Fixed buckets keep Observe allocation-
 // free and make merged output trivially stable. Nil histograms are
 // disabled no-ops.
+//
+// It is one of the repository's two histogram types, and exists for
+// the single-goroutine simulator's hot paths: nil-safe so a disabled
+// instrument costs one pointer test, allocation-free per observation,
+// and bucketed at factor-of-two resolution, which suits latencies that
+// span µs to minutes. stats.QuantileSketch is the other; use it when
+// summaries must merge across goroutines or shards.
 type Histogram struct {
 	counts [histBuckets]int64
 	count  int64
