@@ -35,10 +35,26 @@ import (
 // paper over an optimisation regression):
 //
 //	go test ./internal/exp -run TestEventDigestGolden -update-digests
+//
+// A second golden pins the tick-free digest (simclock.TickFreeDigest):
+// the same hash over every event except the scheduler's ticks, with
+// each event keyed by its ordinal among non-tick schedulings instead of
+// its sequence number. It was recorded before the scheduler learned to
+// skip ticks, so it proves that skipping ticks leaves every other event
+// where it was. Its own flag keeps a routine full-digest refresh from
+// rewriting it:
+//
+//	go test ./internal/exp -run TestEventDigestGolden -update-notick-digests
 
-var updateDigests = flag.Bool("update-digests", false, "rewrite testdata/event_digests.golden from the current kernel")
+var (
+	updateDigests       = flag.Bool("update-digests", false, "rewrite testdata/event_digests.golden from the current kernel")
+	updateNoTickDigests = flag.Bool("update-notick-digests", false, "rewrite testdata/event_digests_notick.golden from the current kernel")
+)
 
-const digestGoldenPath = "testdata/event_digests.golden"
+const (
+	digestGoldenPath       = "testdata/event_digests.golden"
+	noTickDigestGoldenPath = "testdata/event_digests_notick.golden"
+)
 
 // digestCells is the oracle's cell set: every device profile, every
 // pressure regime, organic pressure, telemetry sampling, and a fault
@@ -97,7 +113,9 @@ func digestCells() map[string]VideoRun {
 	return cells
 }
 
-func runDigests(t *testing.T) map[string]uint64 {
+// runDigests runs every oracle cell and returns its full and tick-free
+// digests by cell name.
+func runDigests(t *testing.T) (full, tickFree map[string]uint64) {
 	t.Helper()
 	cells := digestCells()
 	names := make([]string, 0, len(cells))
@@ -106,7 +124,8 @@ func runDigests(t *testing.T) map[string]uint64 {
 	}
 	sort.Strings(names)
 
-	got := make(map[string]uint64, len(cells))
+	full = make(map[string]uint64, len(cells))
+	tickFree = make(map[string]uint64, len(cells))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, name := range names {
@@ -116,17 +135,18 @@ func runDigests(t *testing.T) map[string]uint64 {
 			defer wg.Done()
 			res := Run(cfg)
 			mu.Lock()
-			got[name] = res.EventDigest
+			full[name] = res.EventDigest
+			tickFree[name] = res.TickFreeDigest
 			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	return got
+	return full, tickFree
 }
 
-func readDigestGolden(t *testing.T) map[string]uint64 {
+func readDigestGolden(t *testing.T, path string) map[string]uint64 {
 	t.Helper()
-	f, err := os.Open(digestGoldenPath)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatalf("open golden (run with -update-digests to create): %v", err)
 	}
@@ -151,7 +171,22 @@ func readDigestGolden(t *testing.T) map[string]uint64 {
 	return out
 }
 
-func writeDigestGolden(t *testing.T, digests map[string]uint64) {
+// Golden file headers, one per digest.
+const (
+	digestGoldenHeader = `# Event-order digests per experiment cell (FNV-1a over dispatched
+# (time, seq, kind) — see simclock.EnableDigest and digest_test.go).
+# Recorded against the pre-optimisation kernel; any optimisation
+# must reproduce these bytes exactly.
+`
+	noTickDigestGoldenHeader = `# Tick-free event-order digests per experiment cell (FNV-1a over
+# dispatched non-tick events' (time, ordinal among non-tick
+# schedulings, kind) — see simclock.TickFreeDigest and digest_test.go).
+# Recorded before the scheduler skipped ticks; skipping ticks must
+# reproduce these bytes exactly.
+`
+)
+
+func writeDigestGolden(t *testing.T, path, header string, digests map[string]uint64) {
 	t.Helper()
 	names := make([]string, 0, len(digests))
 	for name := range digests {
@@ -159,49 +194,54 @@ func writeDigestGolden(t *testing.T, digests map[string]uint64) {
 	}
 	sort.Strings(names)
 	var b strings.Builder
-	b.WriteString("# Event-order digests per experiment cell (FNV-1a over dispatched\n")
-	b.WriteString("# (time, seq, kind) — see simclock.EnableDigest and digest_test.go).\n")
-	b.WriteString("# Recorded against the pre-optimisation kernel; any optimisation\n")
-	b.WriteString("# must reproduce these bytes exactly.\n")
+	b.WriteString(header)
 	for _, name := range names {
 		fmt.Fprintf(&b, "%s %016x\n", name, digests[name])
 	}
-	if err := os.MkdirAll(filepath.Dir(digestGoldenPath), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(digestGoldenPath, []byte(b.String()), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestEventDigestGolden replays every oracle cell and holds its digest
-// to the committed golden value.
+// checkDigestGolden holds got to the golden at path, or rewrites the
+// golden when update is set.
+func checkDigestGolden(t *testing.T, path, header string, update bool, got map[string]uint64) {
+	t.Helper()
+	for name, d := range got {
+		if d == 0 {
+			t.Errorf("%s: %s digest is zero — digest plumbing broken", path, name)
+		}
+	}
+	if update {
+		writeDigestGolden(t, path, header, got)
+		t.Logf("rewrote %s with %d digests", path, len(got))
+		return
+	}
+	want := readDigestGolden(t, path)
+	if len(want) != len(got) {
+		t.Errorf("%s has %d cells, battery ran %d (refresh it after adding cells)", path, len(want), len(got))
+	}
+	for name, w := range want {
+		if g, ok := got[name]; !ok {
+			t.Errorf("%s: in %s but not run", name, path)
+		} else if g != w {
+			t.Errorf("%s: digest %016x, %s has %016x — the kernel's dispatch sequence changed", name, g, path, w)
+		}
+	}
+}
+
+// TestEventDigestGolden replays every oracle cell and holds its full
+// and tick-free digests to the committed golden values.
 func TestEventDigestGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full digest battery skipped in -short mode")
 	}
-	got := runDigests(t)
-	for name, d := range got {
-		if d == 0 {
-			t.Errorf("%s: digest is zero — digest plumbing broken", name)
-		}
-	}
-	if *updateDigests {
-		writeDigestGolden(t, got)
-		t.Logf("rewrote %s with %d digests", digestGoldenPath, len(got))
-		return
-	}
-	want := readDigestGolden(t)
-	if len(want) != len(got) {
-		t.Errorf("golden has %d cells, battery ran %d (run -update-digests after adding cells)", len(want), len(got))
-	}
-	for name, w := range want {
-		if g, ok := got[name]; !ok {
-			t.Errorf("%s: in golden but not run", name)
-		} else if g != w {
-			t.Errorf("%s: event digest %016x, golden %016x — the kernel's dispatch sequence changed", name, g, w)
-		}
-	}
+	full, tickFree := runDigests(t)
+	checkDigestGolden(t, digestGoldenPath, digestGoldenHeader, *updateDigests, full)
+	checkDigestGolden(t, noTickDigestGoldenPath, noTickDigestGoldenHeader, *updateNoTickDigests, tickFree)
 }
 
 // TestEventDigestSerialVsParallel runs one digest-enabled grid serially

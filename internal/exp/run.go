@@ -143,6 +143,9 @@ type Result struct {
 	// configured with Digest; 0 otherwise. Two runs of the same config
 	// and seed must produce the same digest at any executor parallelism.
 	EventDigest uint64
+	// TickFreeDigest is the same oracle over every event except the
+	// scheduler's ticks (simclock.TickFreeDigest); 0 without Digest.
+	TickFreeDigest uint64
 }
 
 // Run executes the experiment to completion (or crash) and returns the
@@ -219,7 +222,10 @@ func Run(cfg VideoRun) Result {
 		dev.Settle(time.Second)
 	}
 	dev.Tracer.Finish(dev.Clock.Now())
-	res := Result{Metrics: sess.Metrics(), PressureReached: reached, EventDigest: dev.Clock.Digest()}
+	res := Result{
+		Metrics: sess.Metrics(), PressureReached: reached,
+		EventDigest: dev.Clock.Digest(), TickFreeDigest: dev.Clock.TickFreeDigest(),
+	}
 	if inj != nil {
 		res.FaultWindows = inj.Windows()
 	}
