@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"coalqoe/internal/arena"
 	"coalqoe/internal/dash"
 	"coalqoe/internal/device"
 	"coalqoe/internal/exp"
@@ -49,6 +50,7 @@ var Suite = []Entry{
 	{"run/video60s", VideoRun60s},
 	{"grid/fig9quick", GridFig9Quick},
 	{"fleet/users10k", FleetUsers10k},
+	{"arena/quick", ArenaQuick},
 }
 
 // Lookup returns the named suite entry.
@@ -294,6 +296,24 @@ func GridFig9Quick(b *testing.B) {
 		rep := e.Run(exp.Options{Quick: true, Seed: 9, Parallel: 1})
 		if len(rep.Lines) == 0 {
 			b.Fatal("fig9 produced no output")
+		}
+	}
+}
+
+// ArenaQuick measures the ABR tournament end to end: the quick arena
+// (60 s clip, one run per cell) for every entrant, device and fault plan
+// at Moderate pressure — the regime where the memory-aware rules and
+// the reclaim path both work — serially, then the leaderboard fold.
+// One op = 63 sessions plus scoring.
+func ArenaQuick(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res := arena.Run(arena.Config{
+			Quick: true, Runs: 1, Seed: 0, Parallel: 1,
+			Regimes: []proc.Level{proc.Moderate},
+		})
+		if len(res.Board) != len(arena.Entrants()) {
+			b.Fatalf("leaderboard has %d rows, want %d", len(res.Board), len(arena.Entrants()))
 		}
 	}
 }
