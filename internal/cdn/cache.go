@@ -24,6 +24,8 @@ package cdn
 import (
 	"container/list"
 	"sync"
+
+	"coalqoe/internal/telemetry"
 )
 
 // Config shapes a Cache. The zero value is a pass-through: no
@@ -65,6 +67,25 @@ type Stats struct {
 	Evictions int64 // residents displaced by LRU pressure
 	Entries   int64 // current resident count
 	Bytes     int64 // current resident body bytes
+}
+
+// Record writes the counters into reg as the dash.cache.* series, plus
+// dash.cache.hit_rate: hits over all Get calls, 0 before the first.
+func (s Stats) Record(reg *telemetry.Registry) {
+	reg.Counter("dash.cache.hits").Add(s.Hits)
+	reg.Counter("dash.cache.misses").Add(s.Misses)
+	reg.Counter("dash.cache.coalesced").Add(s.Coalesced)
+	reg.Counter("dash.cache.fills").Add(s.Fills)
+	reg.Counter("dash.cache.admitted").Add(s.Admitted)
+	reg.Counter("dash.cache.rejected").Add(s.Rejected)
+	reg.Counter("dash.cache.evictions").Add(s.Evictions)
+	reg.Gauge("dash.cache.entries").Set(float64(s.Entries))
+	reg.Gauge("dash.cache.bytes").Set(float64(s.Bytes))
+	hitRate := 0.0
+	if total := s.Hits + s.Misses + s.Coalesced; total > 0 {
+		hitRate = float64(s.Hits) / float64(total)
+	}
+	reg.Gauge("dash.cache.hit_rate").Set(hitRate)
 }
 
 // entry is one cached body on the LRU list.

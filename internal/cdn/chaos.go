@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"coalqoe/internal/faults"
+	"coalqoe/internal/telemetry"
 )
 
 // nominalOriginDelay is the modeled healthy origin service time that
@@ -57,6 +58,13 @@ type ChaosStats struct {
 	Rejected int64 // requests failed with an injected 5xx
 	Delayed  int64 // requests that paid injected response latency
 	Stalled  int64 // requests tagged with origin slowdown
+}
+
+// Record writes the counters into reg as the dash.chaos.* series.
+func (s ChaosStats) Record(reg *telemetry.Registry) {
+	reg.Counter("dash.chaos.rejected").Add(s.Rejected)
+	reg.Counter("dash.chaos.delayed").Add(s.Delayed)
+	reg.Counter("dash.chaos.stalled").Add(s.Stalled)
 }
 
 // Chaos evaluates fault windows against the wall clock for a live

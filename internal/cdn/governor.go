@@ -36,6 +36,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"coalqoe/internal/telemetry"
 )
 
 // TenantQuota is one tenant's contracted request rate.
@@ -160,6 +162,36 @@ type GovernorStats struct {
 	// PerTenant maps tenant name to quota counters, for every tenant
 	// the governor has seen (listed or not).
 	PerTenant map[string]TenantCounters
+}
+
+// Record writes the stats into reg as the dash.admit.*,
+// dash.brownout.* and per-tenant dash.quota.* series.
+func (s GovernorStats) Record(reg *telemetry.Registry) {
+	reg.Counter("dash.admit.admitted").Add(s.Admitted)
+	reg.Counter("dash.admit.granted").Add(s.Granted)
+	reg.Counter("dash.admit.queued").Add(s.Queued)
+	reg.Counter("dash.admit.shed").Add(s.Shed)
+	reg.Counter("dash.admit.canceled").Add(s.Canceled)
+	reg.Gauge("dash.admit.inflight").Set(float64(s.Inflight))
+	reg.Gauge("dash.admit.queue_depth").Set(float64(s.QueueDepth))
+	reg.Counter("dash.brownout.entered").Add(s.BrownoutEntered)
+	reg.Counter("dash.brownout.exited").Add(s.BrownoutExited)
+	reg.Counter("dash.brownout.demoted").Add(s.Demoted)
+	active := 0.0
+	if s.BrownoutActive {
+		active = 1
+	}
+	reg.Gauge("dash.brownout.active").Set(active)
+	names := make([]string, 0, len(s.PerTenant))
+	for name := range s.PerTenant {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		tc := s.PerTenant[name]
+		reg.Counter("dash.quota.granted." + name).Add(tc.Granted)
+		reg.Counter("dash.quota.throttled." + name).Add(tc.Throttled)
+	}
 }
 
 // TenantCounters is one tenant's quota ledger.
@@ -461,39 +493,4 @@ func (g *Governor) Stats() GovernorStats {
 		s.PerTenant[name] = TenantCounters{Granted: ts.granted, Throttled: ts.throttled}
 	}
 	return s
-}
-
-// MetricsExtras renders the stats as the dash.admit.* / dash.quota.* /
-// dash.brownout.* series the server merges into /metrics. Keys are
-// stable; encoding/json sorts them on marshal.
-func (g *Governor) MetricsExtras() map[string]float64 {
-	s := g.Stats()
-	out := map[string]float64{
-		"dash.admit.admitted":    float64(s.Admitted),
-		"dash.admit.granted":     float64(s.Granted),
-		"dash.admit.queued":      float64(s.Queued),
-		"dash.admit.shed":        float64(s.Shed),
-		"dash.admit.canceled":    float64(s.Canceled),
-		"dash.admit.inflight":    float64(s.Inflight),
-		"dash.admit.queue_depth": float64(s.QueueDepth),
-		"dash.brownout.entered":  float64(s.BrownoutEntered),
-		"dash.brownout.exited":   float64(s.BrownoutExited),
-		"dash.brownout.demoted":  float64(s.Demoted),
-	}
-	if s.BrownoutActive {
-		out["dash.brownout.active"] = 1
-	} else {
-		out["dash.brownout.active"] = 0
-	}
-	names := make([]string, 0, len(s.PerTenant))
-	for name := range s.PerTenant {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		tc := s.PerTenant[name]
-		out["dash.quota.granted."+name] = float64(tc.Granted)
-		out["dash.quota.throttled."+name] = float64(tc.Throttled)
-	}
-	return out
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"coalqoe/internal/telemetry"
 )
 
 // govClock is a hand-advanced clock for governor tests.
@@ -265,7 +267,7 @@ func TestGovernorDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestGovernorMetricsExtras(t *testing.T) {
+func TestGovernorStatsRecord(t *testing.T) {
 	clk := newGovClock()
 	g := NewGovernor(GovernorConfig{
 		MaxInflight: 1, MaxQueue: 1,
@@ -274,7 +276,9 @@ func TestGovernorMetricsExtras(t *testing.T) {
 	g.Admit("acme")
 	g.Admit("acme") // queued
 	g.Admit("acme") // shed
-	m := g.MetricsExtras()
+	reg := telemetry.NewRegistry()
+	g.Stats().Record(reg)
+	m := reg.ValueMap()
 	for _, key := range []string{
 		"dash.admit.admitted", "dash.admit.queued", "dash.admit.shed",
 		"dash.admit.inflight", "dash.admit.queue_depth",
@@ -282,10 +286,10 @@ func TestGovernorMetricsExtras(t *testing.T) {
 		"dash.quota.granted.acme", "dash.quota.throttled.acme",
 	} {
 		if _, ok := m[key]; !ok {
-			t.Errorf("metrics extras missing %q", key)
+			t.Errorf("recorded series missing %q", key)
 		}
 	}
 	if m["dash.admit.admitted"] != 1 || m["dash.admit.shed"] != 1 {
-		t.Errorf("extras = %v", m)
+		t.Errorf("recorded = %v", m)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"coalqoe/internal/cdn"
+	"coalqoe/internal/telemetry"
 	"coalqoe/internal/units"
 )
 
@@ -67,33 +68,36 @@ func (m *Manifest) DTO() ManifestDTO {
 // cdn.Cache attached, segments are served through the cache (and
 // /metrics grows dash.cache.* series); with a cdn.Chaos attached,
 // every segment request passes the chaos gate first (dash.chaos.*
-// series). The request path is lock-free — all counters are atomics —
-// so a thousand concurrent players measure the serving path, not a
-// metrics mutex.
+// series); with a cdn.Governor, dash.admit.*, dash.brownout.* and
+// dash.quota.* series follow. The request path is lock-free: its
+// counters are plain atomics, so a thousand concurrent players measure
+// the serving path, not a metrics mutex. Each snapshot records them,
+// and each attached subsystem's stats, into a fresh
+// telemetry.Registry.
 type Server struct {
 	manifest *Manifest
 	mux      *http.ServeMux
 
-	metrics  *serverMetrics
-	rungs    map[string]rungCounters // fixed at construction: concurrent reads are safe
-	inflight *atomic.Int64
+	manifestReqs atomic.Int64
+	inflight     atomic.Int64
 
 	// ladder is the manifest's rungs sorted by ascending bitrate, with
 	// ladderIdx mapping rep id -> ladder position; fixed at
 	// construction so brownout demotion is two lookups on the hot path.
+	// served[i] counts the requests and bytes served at ladder[i].
 	ladder    []Rung
 	ladderIdx map[string]int
+	served    []rungCounters
 
 	cache    *cdn.Cache
 	chaos    *cdn.Chaos
 	governor *cdn.Governor
 }
 
-// rungCounters are the per-representation hot-path counters, resolved
-// once at construction so a segment request does one map lookup.
+// rungCounters are one representation's hot-path counters.
 type rungCounters struct {
-	requests *atomic.Int64
-	bytes    *atomic.Int64
+	requests atomic.Int64
+	bytes    atomic.Int64
 }
 
 // ServerOptions attaches the optional serving subsystems.
@@ -120,18 +124,9 @@ func NewServer(m *Manifest) *Server {
 
 // NewServerOpts builds the handler with optional cache and chaos.
 func NewServerOpts(m *Manifest, opts ServerOptions) *Server {
-	// Pre-register every rung's counters so /metrics reports explicit
-	// zeros for rungs nobody requested.
-	names := []string{"dash.manifest_requests", "dash.inflight_requests"}
-	for _, r := range m.Rungs {
-		id := fmt.Sprintf("%s%d", r.Resolution, r.FPS)
-		names = append(names, "dash.segment_requests."+id, "dash.segment_bytes."+id)
-	}
 	s := &Server{
 		manifest: m,
 		mux:      http.NewServeMux(),
-		metrics:  newServerMetrics(names...),
-		rungs:    make(map[string]rungCounters, len(m.Rungs)),
 		cache:    opts.Cache,
 		chaos:    opts.Chaos,
 		governor: opts.Governor,
@@ -147,14 +142,7 @@ func NewServerOpts(m *Manifest, opts ServerOptions) *Server {
 	for i, r := range s.ladder {
 		s.ladderIdx[fmt.Sprintf("%s%d", r.Resolution, r.FPS)] = i
 	}
-	for _, r := range m.Rungs {
-		id := fmt.Sprintf("%s%d", r.Resolution, r.FPS)
-		s.rungs[id] = rungCounters{
-			requests: s.metrics.counter("dash.segment_requests." + id),
-			bytes:    s.metrics.counter("dash.segment_bytes." + id),
-		}
-	}
-	s.inflight = s.metrics.counter("dash.inflight_requests")
+	s.served = make([]rungCounters, len(s.ladder))
 	s.mux.HandleFunc("GET /manifest.json", s.handleManifest)
 	s.mux.HandleFunc("GET /video/", s.handleSegment)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -169,50 +157,29 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // MetricsSnapshot returns every metric series as a (name -> value)
-// map: the server counters plus, when attached, the cache and chaos
-// counters. This is the body /metrics serializes, exposed so the
-// binary can flush final numbers after a graceful shutdown.
+// map: the server counters plus, when attached, the cache, chaos and
+// governor series. Every rung has its series, at zero until served.
+// This is the body /metrics serializes, exposed so the binary can
+// flush final numbers after a graceful shutdown.
 func (s *Server) MetricsSnapshot() map[string]float64 {
-	var extras map[string]float64
+	reg := telemetry.NewRegistry()
+	reg.Counter("dash.manifest_requests").Add(s.manifestReqs.Load())
+	reg.Gauge("dash.inflight_requests").Set(float64(s.inflight.Load()))
+	for i, r := range s.ladder {
+		id := fmt.Sprintf("%s%d", r.Resolution, r.FPS)
+		reg.Counter("dash.segment_requests." + id).Add(s.served[i].requests.Load())
+		reg.Counter("dash.segment_bytes." + id).Add(s.served[i].bytes.Load())
+	}
 	if s.cache != nil {
-		cs := s.cache.Stats()
-		hitRate := 0.0
-		if total := cs.Hits + cs.Misses + cs.Coalesced; total > 0 {
-			hitRate = float64(cs.Hits) / float64(total)
-		}
-		extras = map[string]float64{
-			"dash.cache.hits":      float64(cs.Hits),
-			"dash.cache.misses":    float64(cs.Misses),
-			"dash.cache.coalesced": float64(cs.Coalesced),
-			"dash.cache.fills":     float64(cs.Fills),
-			"dash.cache.admitted":  float64(cs.Admitted),
-			"dash.cache.rejected":  float64(cs.Rejected),
-			"dash.cache.evictions": float64(cs.Evictions),
-			"dash.cache.entries":   float64(cs.Entries),
-			"dash.cache.bytes":     float64(cs.Bytes),
-			"dash.cache.hit_rate":  hitRate,
-		}
+		s.cache.Stats().Record(reg)
 	}
 	if s.chaos != nil {
-		if extras == nil {
-			extras = make(map[string]float64, 3)
-		}
-		hs := s.chaos.Stats()
-		extras["dash.chaos.rejected"] = float64(hs.Rejected)
-		extras["dash.chaos.delayed"] = float64(hs.Delayed)
-		extras["dash.chaos.stalled"] = float64(hs.Stalled)
+		s.chaos.Stats().Record(reg)
 	}
 	if s.governor != nil {
-		gm := s.governor.MetricsExtras()
-		if extras == nil {
-			extras = gm
-		} else {
-			for k, v := range gm { //coalvet:allow maporder merged into a map; /metrics sorts keys on marshal
-				extras[k] = v
-			}
-		}
+		s.governor.Stats().Record(reg)
 	}
-	return s.metrics.snapshot(extras)
+	return reg.ValueMap()
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -227,7 +194,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleManifest(w http.ResponseWriter, _ *http.Request) {
-	s.metrics.add("dash.manifest_requests", 1)
+	s.manifestReqs.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(s.manifest.DTO()); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -330,7 +297,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	// Metrics count the rung actually served: under brownout the
 	// /metrics rung mix shifts visibly toward the ladder's floor.
 	id := fmt.Sprintf("%s%d", rung.Resolution, rung.FPS)
-	rc := s.rungs[id]
+	rc := &s.served[s.ladderIdx[id]]
 	rc.requests.Add(1)
 	rc.bytes.Add(int64(size))
 	w.Header().Set("Content-Type", "video/mp4")

@@ -44,6 +44,7 @@ import (
 	"coalqoe/internal/faults"
 	"coalqoe/internal/resilience"
 	"coalqoe/internal/simclock"
+	"coalqoe/internal/telemetry"
 )
 
 // simEpoch anchors the virtual clock. Any fixed instant works — the
@@ -520,18 +521,16 @@ func (s *sim) run() *SimResult {
 	res.Elapsed = cfg.Duration
 
 	gs := s.gov.Stats()
-	sm := s.gov.MetricsExtras()
-	cs := s.chaos.Stats()
-	sm["dash.chaos.rejected"] = float64(cs.Rejected)
-	sm["dash.chaos.delayed"] = float64(cs.Delayed)
-	sm["dash.chaos.stalled"] = float64(cs.Stalled)
-	sm["sim.attempts"] = float64(s.attempts)
-	sm["sim.server.served"] = float64(s.served)
-	sm["sim.server.doomed"] = float64(s.doomed)
-	sm["sim.tail.requests"] = float64(s.tailReqs)
-	sm["sim.tail.errors"] = float64(s.tailErrs)
-	sm["sim.tail.bytes"] = float64(s.tailBytes)
-	res.ServerMetrics = sm
+	reg := telemetry.NewRegistry()
+	gs.Record(reg)
+	s.chaos.Stats().Record(reg)
+	reg.Counter("sim.attempts").Add(s.attempts)
+	reg.Counter("sim.server.served").Add(s.served)
+	reg.Counter("sim.server.doomed").Add(s.doomed)
+	reg.Counter("sim.tail.requests").Add(s.tailReqs)
+	reg.Counter("sim.tail.errors").Add(s.tailErrs)
+	reg.Counter("sim.tail.bytes").Add(s.tailBytes)
+	res.ServerMetrics = reg.ValueMap()
 
 	return &SimResult{
 		Result:       res,

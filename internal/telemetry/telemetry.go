@@ -25,11 +25,15 @@
 //     sorted (name, value) snapshot so exporters need a single shape.
 //
 // Concurrency: a Registry is NOT safe for concurrent use, by design —
-// the simulation is single-goroutine. The concurrent fleet engine
-// (study.RunFleetStream) adds its progress counts from the calling
-// goroutine after its workers finish. The real-HTTP serving path does
-// not use a Registry at all: dash.Server keeps its own atomic counters
-// (internal/dash/metrics.go).
+// the simulation is single-goroutine. The serving stack uses the same
+// registry and naming scheme without sharing one across goroutines:
+// dash.Server's request path bumps plain atomics, and each /metrics
+// snapshot builds a fresh Registry, records those atomics and the
+// cdn.Stats, cdn.ChaosStats and cdn.GovernorStats snapshots into it
+// (their Record methods own the dash.cache.*, dash.chaos.*,
+// dash.admit.*, dash.brownout.* and dash.quota.* names), and returns
+// ValueMap. loadgen.RunSim assembles its ServerMetrics the same way,
+// once, after the virtual clock drains.
 package telemetry
 
 import (
@@ -405,6 +409,18 @@ func (r *Registry) Values() []Sample {
 	for _, name := range names {
 		v, _ := r.Value(name)
 		out = append(out, Sample{Name: name, Value: v})
+	}
+	return out
+}
+
+// ValueMap snapshots every scalar series as a name -> value map: the
+// shape of a /metrics body, which encoding/json writes in sorted key
+// order.
+func (r *Registry) ValueMap() map[string]float64 {
+	names := r.Names()
+	out := make(map[string]float64, len(names))
+	for _, name := range names {
+		out[name], _ = r.Value(name)
 	}
 	return out
 }
