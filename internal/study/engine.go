@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"coalqoe/internal/proc"
-	"coalqoe/internal/telemetry"
 	"coalqoe/internal/units"
 )
 
@@ -84,9 +83,6 @@ type FleetConfig struct {
 	// and benchmarks use SyntheticRunner to exercise the aggregation
 	// path without the kernel substrate.
 	Runner func(*User, int64) *DeviceLog
-	// Telemetry, when non-nil, counts engine progress
-	// (fleet/users_run, fleet/users_failed, fleet/checkpoints).
-	Telemetry *telemetry.Registry
 }
 
 // FleetRunStats reports what one engine invocation did.
@@ -190,13 +186,6 @@ func RunFleetStream(cfg FleetConfig) (*FleetAggregate, FleetRunStats, error) {
 		runner = RunUser
 	}
 
-	var cUsers, cFailed, cCkps *telemetry.Counter
-	if cfg.Telemetry != nil {
-		cUsers = cfg.Telemetry.Counter("fleet/users_run")
-		cFailed = cfg.Telemetry.Counter("fleet/users_failed")
-		cCkps = cfg.Telemetry.Counter("fleet/checkpoints")
-	}
-
 	fp := func(shard int) fleetFingerprint {
 		return fleetFingerprint{
 			Schema: checkpointSchema, Users: n, Seed: cfg.Seed,
@@ -231,7 +220,6 @@ func RunFleetStream(cfg FleetConfig) (*FleetAggregate, FleetRunStats, error) {
 
 	var (
 		processed int64 // users simulated this invocation
-		failed    int64
 		halt      atomic.Bool
 		ckpCount  int64
 		mu        sync.Mutex
@@ -281,7 +269,6 @@ func RunFleetStream(cfg FleetConfig) (*FleetAggregate, FleetRunStats, error) {
 						log, err := runUserSafe(runner, u, UserSeed(cfg.Seed, u.ID))
 						if err != nil {
 							st.agg.FoldFailure(u, i, err.Error())
-							atomic.AddInt64(&failed, 1)
 						} else {
 							st.agg.Fold(u, log, i)
 						}
@@ -317,15 +304,6 @@ func RunFleetStream(cfg FleetConfig) (*FleetAggregate, FleetRunStats, error) {
 	}
 	stats.UsersRun = processed
 	stats.Checkpoints = ckpCount
-	// Telemetry counters are plain (non-atomic) by design — the
-	// simulator's single-threaded fast path — so the engine updates
-	// them once here, after the worker pool has drained, not from
-	// inside workers.
-	if cUsers != nil {
-		cUsers.Add(stats.UsersRun)
-		cFailed.Add(failed)
-		cCkps.Add(stats.Checkpoints)
-	}
 	if firstErr != nil {
 		return nil, stats, firstErr
 	}
