@@ -307,8 +307,8 @@ type QoEAware struct {
 	// SegmentDuration is the assumed chunk length; default 4s.
 	SegmentDuration time.Duration
 	// HoldBonus is added to the current rung's score — hysteresis, in
-	// objective points. A switch costs the player a codec splice
-	// (SwitchLatency), so flapping through intermediate rungs while
+	// objective points. A switch costs the player a codec splice (its
+	// 2 s switch latency), so flapping through intermediate rungs while
 	// risk decays is worse than holding until a clearly better rung
 	// appears. Default 1; negative disables.
 	HoldBonus float64

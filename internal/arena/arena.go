@@ -92,16 +92,17 @@ type Config struct {
 	Video      dash.Video
 	Resolution dash.Resolution
 	FPS        int
-
-	// LinkRate/LinkDelay shape the bottleneck link every arena run
-	// plays over. The paper's LAN "never became a bottleneck", but a
-	// tournament judging network algorithms needs a network that can
-	// lose: the default is marginal WiFi — 12 Mbps, 25 ms — which
-	// sustains 1080p30 but not the 1440p tier, so the throughput rules
-	// have real work on the netflaky axis too.
-	LinkRate  units.BitsPerSecond
-	LinkDelay time.Duration
 }
+
+// linkRate/linkDelay shape the bottleneck link every arena run plays
+// over. The paper's LAN "never became a bottleneck", but a tournament
+// judging network algorithms needs a network that can lose: marginal
+// WiFi — 12 Mbps, 25 ms — sustains 1080p30 but not the 1440p tier, so
+// the throughput rules have real work on the netflaky axis too.
+const (
+	linkRate  = 12 * units.Mbps
+	linkDelay = 25 * time.Millisecond
+)
 
 func (c *Config) applyDefaults() {
 	if c.Runs <= 0 {
@@ -136,20 +137,11 @@ func (c *Config) applyDefaults() {
 	if c.FPS == 0 {
 		c.FPS = 60
 	}
-	if c.LinkRate <= 0 {
-		c.LinkRate = 12 * units.Mbps
-	}
-	if c.LinkDelay <= 0 {
-		c.LinkDelay = 25 * time.Millisecond
-	}
 }
 
-// tweaks returns the PlayerTweaks hook installing the arena link.
-func (c *Config) tweaks() func(*player.Config) {
-	rate, delay := c.LinkRate, c.LinkDelay
-	return func(pc *player.Config) {
-		pc.Link = netem.NewLink(pc.Device.Clock, rate, delay)
-	}
+// tweaks is the PlayerTweaks hook installing the arena link.
+func tweaks(pc *player.Config) {
+	pc.Link = netem.NewLink(pc.Device.Clock, linkRate, linkDelay)
 }
 
 // ladder returns the decision/scoring ladder — the same 24/30/48/60
@@ -226,7 +218,7 @@ func Run(cfg Config) *Result {
 						FPS:          cfg.FPS,
 						Pressure:     reg,
 						Faults:       p.Spec,
-						PlayerTweaks: cfg.tweaks(),
+						PlayerTweaks: tweaks,
 						OnSession: func(s *player.Session, dev *device.Device) {
 							abr.Attach(s, dev, mk(), 2*time.Second)
 						},

@@ -58,7 +58,7 @@ func WriteDecisionTrace(cfg Config, entrant string, regime proc.Level, plan stri
 		FPS:          cfg.FPS,
 		Pressure:     regime,
 		Faults:       pl.Spec,
-		PlayerTweaks: cfg.tweaks(),
+		PlayerTweaks: tweaks,
 		KeepTrace:    true,
 		Telemetry:    &telemetry.Config{},
 		OnSession: func(s *player.Session, dev *device.Device) {

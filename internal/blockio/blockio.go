@@ -22,46 +22,32 @@ import (
 	"coalqoe/internal/units"
 )
 
-// Config sets device and daemon costs.
+// Config selects the mmcqd ablation.
 type Config struct {
-	// ReadPerPage is device service time per page read. Refault reads
-	// are scattered 4K reads, far from sequential speed on entry-level
-	// eMMC. Default 60µs (~65 MB/s).
-	ReadPerPage time.Duration
-	// WritePerPage is device service time per page written.
-	// Default 90µs (~45 MB/s).
-	WritePerPage time.Duration
-	// RequestOverhead is fixed device time per request (command setup
-	// plus the effective seek of a scattered access). Default 400µs.
-	RequestOverhead time.Duration
-	// CPUPerRequest is mmcqd CPU per request (queue management,
-	// completion handling). Default 120µs.
-	CPUPerRequest time.Duration
-	// CPUPerPage is additional mmcqd CPU per page. Default 1µs.
-	CPUPerPage time.Duration
 	// FairPriority runs mmcqd in the fair class instead of RT — the
 	// §7 ablation quantifying how much of the damage comes from
 	// mmcqd's strict priority over foreground threads.
 	FairPriority bool
 }
 
-func (c *Config) applyDefaults() {
-	if c.ReadPerPage <= 0 {
-		c.ReadPerPage = 60 * time.Microsecond
-	}
-	if c.WritePerPage <= 0 {
-		c.WritePerPage = 90 * time.Microsecond
-	}
-	if c.RequestOverhead <= 0 {
-		c.RequestOverhead = 400 * time.Microsecond
-	}
-	if c.CPUPerRequest <= 0 {
-		c.CPUPerRequest = 120 * time.Microsecond
-	}
-	if c.CPUPerPage <= 0 {
-		c.CPUPerPage = time.Microsecond
-	}
-}
+// Device and daemon costs of the modelled entry-level eMMC.
+const (
+	// readPerPage is device service time per page read. Refault reads
+	// are scattered 4K reads, far from sequential speed on entry-level
+	// eMMC: 60µs is ~65 MB/s.
+	readPerPage = 60 * time.Microsecond
+	// writePerPage is device service time per page written: 90µs is
+	// ~45 MB/s.
+	writePerPage = 90 * time.Microsecond
+	// requestOverhead is fixed device time per request (command setup
+	// plus the effective seek of a scattered access).
+	requestOverhead = 400 * time.Microsecond
+	// cpuPerRequest is mmcqd CPU per request (queue management,
+	// completion handling).
+	cpuPerRequest = 120 * time.Microsecond
+	// cpuPerPage is additional mmcqd CPU per page.
+	cpuPerPage = time.Microsecond
+)
 
 // Stats counts disk activity.
 type Stats struct {
@@ -81,7 +67,6 @@ type Stats struct {
 // Disk is the storage device plus its mmcqd daemon thread.
 type Disk struct {
 	clock     *simclock.Clock
-	cfg       Config
 	mmcqd     *sched.Thread
 	busyUntil time.Duration
 	slow      float64 // device service-time multiplier; 1 = nominal
@@ -95,14 +80,12 @@ type Disk struct {
 // New creates a Disk and spawns its mmcqd thread (RT class unless the
 // FairPriority ablation is set) on s.
 func New(clock *simclock.Clock, s *sched.Scheduler, cfg Config) *Disk {
-	cfg.applyDefaults()
 	class := sched.ClassRT
 	if cfg.FairPriority {
 		class = sched.ClassFair
 	}
 	return &Disk{
 		clock: clock,
-		cfg:   cfg,
 		mmcqd: s.Spawn("mmcqd/0", "kernel", class, 0),
 	}
 }
@@ -168,14 +151,14 @@ func (d *Disk) QueueDepth() time.Duration {
 // is available. The request first costs mmcqd CPU (at RT priority),
 // then waits for the serial device.
 func (d *Disk) Read(pages units.Pages, onDone func()) {
-	d.submit(pages, d.cfg.ReadPerPage, onDone)
+	d.submit(pages, readPerPage, onDone)
 	d.stats.ReadRequests++
 	d.stats.PagesRead += pages
 }
 
 // Write submits a write of pages (e.g. dirty-page writeback).
 func (d *Disk) Write(pages units.Pages, onDone func()) {
-	d.submit(pages, d.cfg.WritePerPage, onDone)
+	d.submit(pages, writePerPage, onDone)
 	d.stats.WriteRequests++
 	d.stats.PagesWritten += pages
 }
@@ -185,7 +168,7 @@ func (d *Disk) submit(pages units.Pages, perPage time.Duration, onDone func()) {
 		pages = 0
 	}
 	submitted := d.clock.Now()
-	cpu := d.cfg.CPUPerRequest + time.Duration(pages)*d.cfg.CPUPerPage
+	cpu := cpuPerRequest + time.Duration(pages)*cpuPerPage
 	d.mmcqd.Enqueue(cpu, func() {
 		// Device service starts when the device frees up.
 		now := d.clock.Now()
@@ -193,7 +176,7 @@ func (d *Disk) submit(pages units.Pages, perPage time.Duration, onDone func()) {
 		if start < now {
 			start = now
 		}
-		service := d.cfg.RequestOverhead + time.Duration(pages)*perPage
+		service := requestOverhead + time.Duration(pages)*perPage
 		if d.slow > 1 {
 			service = time.Duration(float64(service) * d.slow)
 		}

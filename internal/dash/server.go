@@ -393,8 +393,7 @@ type Client struct {
 // RetryPolicy bounds a fetch: Timeout caps one attempt, Attempts caps
 // how many attempts a fetch gets, and Backoff doubles between attempts
 // up to BackoffCap — the same capped-exponential shape the simulated
-// player uses (player.Config.RetryBackoff), applied to the real HTTP
-// path.
+// player's segment retries use, applied to the real HTTP path.
 type RetryPolicy struct {
 	// Timeout bounds one attempt; zero keeps the client's existing
 	// http.Client timeout.

@@ -191,7 +191,7 @@ func CellSeed(base int64, cell VideoRun) int64 {
 }
 
 // Unreached counts runs whose target pressure regime was never
-// established before PressureTimeout. Averaging such runs into drop or
+// established before pressureTimeout. Averaging such runs into drop or
 // crash statistics silently dilutes the measurement, so report rows
 // carry an annotation whenever the count is non-zero (see regimeNote).
 // Failed runs are skipped — they never got far enough for the regime

@@ -47,11 +47,6 @@ type VideoRun struct {
 	PlayerTweaks func(*player.Config)
 	// OnSession runs right after the session starts (attach ABR, etc.).
 	OnSession func(*player.Session, *device.Device)
-	// SettleTime is the boot settling period (default 3s).
-	SettleTime time.Duration
-	// PressureTimeout bounds the wait for the target signal
-	// (default 240s).
-	PressureTimeout time.Duration
 	// KeepTrace records full scheduler intervals for export
 	// (memory-heavy; off by default). Implies KeepDevice.
 	KeepTrace bool
@@ -103,13 +98,15 @@ func (r *VideoRun) applyDefaults() {
 	if len(r.FPSOptions) == 0 {
 		r.FPSOptions = []int{24, 30, 48, 60}
 	}
-	if r.SettleTime <= 0 {
-		r.SettleTime = 3 * time.Second
-	}
-	if r.PressureTimeout <= 0 {
-		r.PressureTimeout = 240 * time.Second
-	}
 }
+
+const (
+	// settleTime is the boot settling period before pressure builds.
+	settleTime = 3 * time.Second
+	// pressureTimeout bounds the wait for the target signal; runs that
+	// never reach it are counted by Unreached.
+	pressureTimeout = 240 * time.Second
+)
 
 // Result is the outcome of one run. Metrics is extracted eagerly when
 // the run finishes; Device and Session are nil unless the run was
@@ -163,7 +160,7 @@ func Run(cfg VideoRun) Result {
 		dev.Clock.EnableDigest()
 	}
 	dev.Tracer.KeepIntervals(cfg.KeepTrace)
-	dev.Settle(cfg.SettleTime)
+	dev.Settle(settleTime)
 
 	reached := cfg.Pressure == proc.Normal && cfg.OrganicApps == 0
 	if cfg.OrganicApps > 0 {
@@ -173,7 +170,7 @@ func Run(cfg VideoRun) Result {
 		reached = true
 	} else if cfg.Pressure > proc.Normal {
 		mempress.Apply(dev, cfg.Pressure, func() { reached = true })
-		deadline := dev.Clock.Now() + cfg.PressureTimeout
+		deadline := dev.Clock.Now() + pressureTimeout
 		for !reached && dev.Clock.Now() < deadline {
 			dev.Settle(time.Second)
 		}

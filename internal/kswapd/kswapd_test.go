@@ -115,7 +115,7 @@ func TestDirectReclaimFreesPages(t *testing.T) {
 	app := e.sch.Spawn("main", "app", sched.ClassFair, 0)
 	var freed units.Pages
 	done := false
-	DirectReclaim(e.clock, app, e.mem, e.disk, Config{}, 1000, func(f units.Pages) {
+	DirectReclaim(app, e.mem, e.disk, 1000, func(f units.Pages) {
 		freed = f
 		done = true
 	})
@@ -134,7 +134,7 @@ func TestDirectReclaimBlocksOnWriteback(t *testing.T) {
 	e.mem.MarkDirty(units.PagesOf(400 * units.MiB))
 	app := e.sch.Spawn("main", "app", sched.ClassFair, 0)
 	done := false
-	DirectReclaim(e.clock, app, e.mem, e.disk, Config{}, 500, func(units.Pages) { done = true })
+	DirectReclaim(app, e.mem, e.disk, 500, func(units.Pages) { done = true })
 	e.clock.RunUntil(5 * time.Second)
 	e.tr.Finish(e.clock.Now())
 	if !done {
@@ -156,7 +156,7 @@ func TestDirectReclaimGivesUpEventually(t *testing.T) {
 	app := s.Spawn("main", "app", sched.ClassFair, 0)
 	done := false
 	var freed units.Pages
-	DirectReclaim(clock, app, m, d, Config{}, 10000, func(f units.Pages) { done, freed = true, f })
+	DirectReclaim(app, m, d, 10000, func(f units.Pages) { done, freed = true, f })
 	clock.RunUntil(10 * time.Second)
 	if !done {
 		t.Fatal("direct reclaim spun forever with nothing reclaimable")

@@ -27,18 +27,6 @@ import (
 
 // Config tunes the daemon.
 type Config struct {
-	// PollInterval is the pressure-check cadence. Default 100ms.
-	PollInterval time.Duration
-	// CachedThreshold is the P value above which cached apps become
-	// killable. Default 60.
-	CachedThreshold float64
-	// CriticalThreshold is the P value at or above which foreground
-	// apps become killable. Default 95.
-	CriticalThreshold float64
-	// KillCPU is the CPU lmkd burns per kill (victim lookup, signal
-	// delivery, reaping). Default 8ms — this is the utilization spike
-	// visible when a session crashes (Figure 14).
-	KillCPU time.Duration
 	// MinFreeCachedFrac gates cached-app kills: free memory must be
 	// below this fraction of total RAM. Android's lowmemorykiller
 	// minfree levels sit well above the kernel watermarks; default 0.08.
@@ -48,11 +36,6 @@ type Config struct {
 	// RAM, regardless of the P estimate — the legacy minfree
 	// criterion. Default 0.15.
 	AvailCachedFrac float64
-	// MinFreeForegroundFrac gates foreground kills. Default 0.045.
-	MinFreeForegroundFrac float64
-	// DisableMinFree removes the free-memory gates (pressure alone
-	// decides), for ablation.
-	DisableMinFree bool
 	// FgSustainPolls is how many consecutive polls must observe
 	// critical pressure before a foreground app may be killed,
 	// mirroring lmkd's PSI stall windows. Default 15 (1.5 s).
@@ -63,23 +46,8 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.PollInterval <= 0 {
-		c.PollInterval = 100 * time.Millisecond
-	}
-	if c.CachedThreshold <= 0 {
-		c.CachedThreshold = 60
-	}
-	if c.CriticalThreshold <= 0 {
-		c.CriticalThreshold = 95
-	}
-	if c.KillCPU <= 0 {
-		c.KillCPU = 8 * time.Millisecond
-	}
 	if c.MinFreeCachedFrac <= 0 {
 		c.MinFreeCachedFrac = 0.08
-	}
-	if c.MinFreeForegroundFrac <= 0 {
-		c.MinFreeForegroundFrac = 0.045
 	}
 	if c.AvailCachedFrac <= 0 {
 		c.AvailCachedFrac = 0.15
@@ -92,6 +60,26 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// Poll cadence, pressure thresholds and kill cost of the modelled
+// daemon.
+const (
+	// pollInterval is the pressure-check cadence.
+	pollInterval = 100 * time.Millisecond
+	// cachedThreshold is the P value above which cached apps become
+	// killable.
+	cachedThreshold = 60
+	// criticalThreshold is the P value at or above which foreground
+	// apps become killable.
+	criticalThreshold = 95
+	// killCPU is the CPU lmkd burns per kill (victim lookup, signal
+	// delivery, reaping): the utilization spike visible when a session
+	// crashes (Figure 14).
+	killCPU = 8 * time.Millisecond
+	// minFreeForegroundFrac gates foreground kills: free memory must be
+	// below this fraction of total RAM.
+	minFreeForegroundFrac = 0.045
+)
+
 // Daemon is the lmkd model.
 type Daemon struct {
 	clock  *simclock.Clock
@@ -101,7 +89,7 @@ type Daemon struct {
 	thread *sched.Thread
 
 	killInFlight  bool
-	criticalPolls int           // consecutive polls with P >= CriticalThreshold
+	criticalPolls int           // consecutive polls with P >= criticalThreshold
 	lastKill      time.Duration // for the kill cooldown
 
 	// KillCount is the number of processes killed so far.
@@ -149,7 +137,7 @@ func New(clock *simclock.Clock, s *sched.Scheduler, m *mem.Memory, table *proc.T
 		cfg:    cfg,
 		thread: s.Spawn("lmkd", "lmkd", sched.ClassFair, -10),
 	}
-	clock.Every(cfg.PollInterval, d.poll)
+	clock.Every(pollInterval, d.poll)
 	return d
 }
 
@@ -177,9 +165,9 @@ func (d *Daemon) Instrument(reg *telemetry.Registry) {
 func (d *Daemon) minAdj() (int, bool) {
 	p := d.mem.Pressure()
 	switch {
-	case p >= d.cfg.CriticalThreshold:
+	case p >= criticalThreshold:
 		return proc.AdjForeground, true
-	case p > d.cfg.CachedThreshold:
+	case p > cachedThreshold:
 		return proc.AdjCached, true
 	case float64(d.mem.Available()) < d.cfg.AvailCachedFrac*float64(d.mem.Total()):
 		return proc.AdjCached, true
@@ -190,7 +178,7 @@ func (d *Daemon) minAdj() (int, bool) {
 
 func (d *Daemon) poll() {
 	d.tmPolls.Inc()
-	if d.mem.Pressure() >= d.cfg.CriticalThreshold {
+	if d.mem.Pressure() >= criticalThreshold {
 		d.criticalPolls++
 	} else {
 		d.criticalPolls = 0
@@ -205,16 +193,14 @@ func (d *Daemon) poll() {
 	if !eligible {
 		return
 	}
-	if !d.cfg.DisableMinFree {
-		total := float64(d.mem.Total())
-		if minAdj <= proc.AdjForeground {
-			if float64(d.mem.Free()) >= d.cfg.MinFreeForegroundFrac*total {
-				return
-			}
-		} else if float64(d.mem.Free()) >= d.cfg.MinFreeCachedFrac*total &&
-			float64(d.mem.Available()) >= d.cfg.AvailCachedFrac*total {
+	total := float64(d.mem.Total())
+	if minAdj <= proc.AdjForeground {
+		if float64(d.mem.Free()) >= minFreeForegroundFrac*total {
 			return
 		}
+	} else if float64(d.mem.Free()) >= d.cfg.MinFreeCachedFrac*total &&
+		float64(d.mem.Available()) >= d.cfg.AvailCachedFrac*total {
+		return
 	}
 	cands := d.table.KillCandidates(minAdj)
 	if len(cands) == 0 {
@@ -230,7 +216,7 @@ func (d *Daemon) poll() {
 	// The kill costs lmkd CPU before the memory comes back; under heavy
 	// contention even the killer is slow.
 	d.killInFlight = true
-	d.thread.Enqueue(d.cfg.KillCPU, func() {
+	d.thread.Enqueue(killCPU, func() {
 		d.killInFlight = false
 		if victim.Dead() {
 			return

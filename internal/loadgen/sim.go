@@ -403,9 +403,9 @@ func (s *sim) startService(req *simReq, demote int) {
 	s.clk.Schedule(s.cfg.RTT+dur, func() { s.serviceDone(req) })
 }
 
-// serviceDone completes one service: hand the freed slot to the DRR
-// queue, then deliver the bytes — unless the client already gave up,
-// in which case the work was doomed.
+// serviceDone completes one service: hand the freed slot to the
+// round-robin queue, then deliver the bytes — unless the client already
+// gave up, in which case the work was doomed.
 func (s *sim) serviceDone(req *simReq) {
 	req.done = true
 	if t := s.gov.Release(); t != nil {

@@ -45,58 +45,41 @@ type Config struct {
 	// ZRAMRatio is the compression ratio (stored/physical); typical
 	// LZ4 ratios on app heaps are ~2.5–3.
 	ZRAMRatio float64
-	// PressureWindow is the sliding window for the P estimate.
-	// Defaults to 1s.
-	PressureWindow time.Duration
-	// HotAnonReclaimProb is the probability that a scanned hot
-	// working-set *anonymous* page is reclaimed anyway. It caps the
-	// pressure estimate near (1 − p) · 100 for an anon-dominated LRU,
-	// so it must sit below 0.05 for the P ≥ 95 foreground-kill regime
-	// (§2) to be reachable. Defaults to 0.04.
-	HotAnonReclaimProb float64
-	// HotFileReclaimProb is the same for hot *file* pages. Kernels of
-	// the era evicted executable/code pages far too eagerly under
-	// pressure (the classic Android thrashing failure); evicted hot
-	// file pages refault from storage. Defaults to 0.35.
-	HotFileReclaimProb float64
-	// FileScanBias weights file pages over anonymous pages in the scan
-	// draw, like the kernel's swappiness preferring page-cache
-	// reclaim. Values > 1 evict file (code/asset) pages sooner, which
-	// is what sends a pressured foreground app into refault I/O.
-	// Default 2.5.
-	FileScanBias float64
-	// WatermarkMinFrac/LowFrac/HighFrac set watermarks as fractions of
-	// total. Defaults: 0.02 / 0.04 / 0.06 (Android raises the stock
-	// kernel watermarks via extra_free_kbytes).
-	WatermarkMinFrac, WatermarkLowFrac, WatermarkHighFrac float64
 }
 
 func (c *Config) applyDefaults() {
-	if c.PressureWindow <= 0 {
-		c.PressureWindow = time.Second
-	}
 	if c.ZRAMRatio <= 1 {
 		c.ZRAMRatio = 2.8
 	}
-	if c.HotAnonReclaimProb <= 0 {
-		c.HotAnonReclaimProb = 0.04
-	}
-	if c.HotFileReclaimProb <= 0 {
-		c.HotFileReclaimProb = 0.35
-	}
-	if c.FileScanBias <= 0 {
-		c.FileScanBias = 2.5
-	}
-	if c.WatermarkMinFrac <= 0 {
-		c.WatermarkMinFrac = 0.02
-	}
-	if c.WatermarkLowFrac <= 0 {
-		c.WatermarkLowFrac = 0.04
-	}
-	if c.WatermarkHighFrac <= 0 {
-		c.WatermarkHighFrac = 0.06
-	}
 }
+
+// Reclaim and pressure-estimate constants of the modelled kernel.
+const (
+	// pressureWindow is the sliding window for the P estimate.
+	pressureWindow = time.Second
+	// hotAnonReclaimProb is the probability that a scanned hot
+	// working-set *anonymous* page is reclaimed anyway. It caps the
+	// pressure estimate near (1 − p) · 100 for an anon-dominated LRU,
+	// so it must sit below 0.05 for the P ≥ 95 foreground-kill regime
+	// (§2) to be reachable.
+	hotAnonReclaimProb = 0.04
+	// hotFileReclaimProb is the same for hot *file* pages. Kernels of
+	// the era evicted executable/code pages far too eagerly under
+	// pressure (the classic Android thrashing failure); evicted hot
+	// file pages refault from storage.
+	hotFileReclaimProb = 0.35
+	// fileScanBias weights file pages over anonymous pages in the scan
+	// draw, like the kernel's swappiness preferring page-cache
+	// reclaim. Values > 1 evict file (code/asset) pages sooner, which
+	// is what sends a pressured foreground app into refault I/O.
+	fileScanBias = 2.5
+	// The min/low/high watermarks as fractions of total RAM: 2%, 4%
+	// and 6% (Android raises the stock kernel watermarks via
+	// extra_free_kbytes).
+	watermarkMinFrac  = 0.02
+	watermarkLowFrac  = 0.04
+	watermarkHighFrac = 0.06
+)
 
 // WorkingSet registers how much memory an active process keeps hot.
 // Hot pages resist reclaim and, when evicted anyway, refault.
@@ -200,9 +183,9 @@ func New(clock *simclock.Clock, cfg Config) *Memory {
 		free:        total - kernel,
 		kernel:      kernel,
 		zramMax:     units.PagesOf(cfg.ZRAMMax),
-		wmMin:       units.Pages(float64(total) * cfg.WatermarkMinFrac),
-		wmLow:       units.Pages(float64(total) * cfg.WatermarkLowFrac),
-		wmHigh:      units.Pages(float64(total) * cfg.WatermarkHighFrac),
+		wmMin:       units.Pages(float64(total) * watermarkMinFrac),
+		wmLow:       units.Pages(float64(total) * watermarkLowFrac),
+		wmHigh:      units.Pages(float64(total) * watermarkHighFrac),
 		workingSets: make(map[string]WorkingSet),
 	}
 	return m
@@ -539,7 +522,7 @@ func (m *Memory) ScanBatch(n units.Pages) ScanResult {
 
 	// Draw scanned pages from the pools, with file pages weighted by
 	// the swappiness-like bias.
-	bias := m.cfg.FileScanBias
+	bias := fileScanBias
 	anonPool := float64(0)
 	if scanAnonLRU {
 		anonPool = float64(m.anon)
@@ -568,7 +551,7 @@ func (m *Memory) ScanBatch(n units.Pages) ScanResult {
 	}
 
 	// Clean file: drop.
-	recClean := units.Pages(float64(scanClean) * reclaimFrac(hotFileFrac, m.cfg.HotFileReclaimProb))
+	recClean := units.Pages(float64(scanClean) * reclaimFrac(hotFileFrac, hotFileReclaimProb))
 	if recClean > m.fileClean {
 		recClean = m.fileClean
 	}
@@ -579,7 +562,7 @@ func (m *Memory) ScanBatch(n units.Pages) ScanResult {
 	res.FreedNow += recClean
 
 	// Dirty file: queue writeback.
-	recDirty := units.Pages(float64(scanDirty) * reclaimFrac(hotFileFrac, m.cfg.HotFileReclaimProb))
+	recDirty := units.Pages(float64(scanDirty) * reclaimFrac(hotFileFrac, hotFileReclaimProb))
 	if recDirty > m.fileDirty {
 		recDirty = m.fileDirty
 	}
@@ -588,7 +571,7 @@ func (m *Memory) ScanBatch(n units.Pages) ScanResult {
 	res.DirtyQueued = recDirty
 
 	// Anon: compress into zRAM.
-	recAnon := units.Pages(float64(scanAnon) * reclaimFrac(hotAnonFrac, m.cfg.HotAnonReclaimProb))
+	recAnon := units.Pages(float64(scanAnon) * reclaimFrac(hotAnonFrac, hotAnonReclaimProb))
 	if room := m.zramRoom(); recAnon > room {
 		recAnon = room
 	}
@@ -679,7 +662,7 @@ func (m *Memory) noteScan(scanned, reclaimed units.Pages) {
 }
 
 func (m *Memory) trimWindow(now time.Duration) {
-	for m.winHead < len(m.window) && m.window[m.winHead].at < now-m.cfg.PressureWindow {
+	for m.winHead < len(m.window) && m.window[m.winHead].at < now-pressureWindow {
 		m.winScanned -= m.window[m.winHead].scanned
 		m.winReclaimed -= m.window[m.winHead].reclaimed
 		m.winHead++

@@ -121,7 +121,7 @@ func TestScanBatchHotPagesResist(t *testing.T) {
 	// The whole cache is someone's working set.
 	m.SetWorkingSet("app", WorkingSet{File: units.PagesOf(100 * units.MiB)})
 	res := m.ScanBatch(1000)
-	// Only HotFileReclaimProb (35%) of hot file pages reclaim.
+	// Only hotFileReclaimProb (35%) of hot file pages reclaim.
 	if res.ReclaimedClean < 250 || res.ReclaimedClean > 450 {
 		t.Errorf("ReclaimedClean = %d, want ~350", res.ReclaimedClean)
 	}

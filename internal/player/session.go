@@ -29,34 +29,13 @@ type Config struct {
 	Rung dash.Rung
 	// BufferCapacity caps the playback buffer; default 60s (§4.1).
 	BufferCapacity time.Duration
-	// StartupBuffer is the media level at which playback starts;
-	// default 4s (one segment).
-	StartupBuffer time.Duration
-	// Lookahead is how many frames the decoder may work ahead of the
-	// resync point; default 2. This is the pipeline's only latency
-	// cushion: stalls longer than Lookahead frame intervals drop
-	// frames, which is why 60 FPS content suffers roughly twice as
-	// hard as 30 FPS under the same memory pressure (§4.3).
-	Lookahead int
-	// SwitchLatency is the delay for a quality switch to take effect
-	// (codec reconfiguration + buffer splice); default 2s.
-	SwitchLatency time.Duration
-	// DisableGC turns off periodic client GC pauses (ablation).
-	DisableGC bool
 	// SegmentTimeout bounds one segment-fetch attempt on the sim clock:
 	// an attempt still undelivered at the timeout is abandoned and
-	// retried after a capped exponential backoff (RetryBackoff doubling
-	// up to RetryBackoffCap). Zero keeps the legacy wait-forever
+	// retried after a capped exponential backoff (retryBackoff doubling
+	// up to retryBackoffCap). Zero keeps the legacy wait-forever
 	// behavior — appropriate for the paper's never-bottlenecked LAN,
 	// required reading under injected outages (see internal/faults).
 	SegmentTimeout time.Duration
-	// RetryBackoff is the first retry delay (default 500ms); it doubles
-	// per consecutive abandoned attempt up to RetryBackoffCap (default
-	// 8s). Retries are unbounded: the backoff cap, not an attempt
-	// budget, is what keeps a long outage survivable. All retry timing
-	// runs on the sim clock (see LINTING.md on wall-clock-free timers).
-	RetryBackoff    time.Duration
-	RetryBackoffCap time.Duration
 	// Recovery, when non-nil, makes an lmkd kill survivable: the app
 	// relaunches after the cold-start cost, re-fetches the manifest,
 	// and resumes from the next segment boundary. nil keeps kills
@@ -64,21 +43,42 @@ type Config struct {
 	Recovery *RecoveryPolicy
 }
 
+// Client pipeline constants.
+const (
+	// startupBuffer is the media level at which playback starts: one
+	// 4 s segment.
+	startupBuffer = 4 * time.Second
+	// lookahead is how many frames the decoder may work ahead of the
+	// resync point. This is the pipeline's only latency cushion: stalls
+	// longer than lookahead frame intervals drop frames, which is why
+	// 60 FPS content suffers roughly twice as hard as 30 FPS under the
+	// same memory pressure (§4.3).
+	lookahead = 2
+	// switchLatency is the delay for a quality switch to take effect
+	// (codec reconfiguration + buffer splice).
+	switchLatency = 2 * time.Second
+	// retryBackoff is the first retry delay after an abandoned segment
+	// attempt; it doubles per consecutive abandoned attempt up to
+	// retryBackoffCap. Retries are unbounded: the backoff cap, not an
+	// attempt budget, is what keeps a long outage survivable. All retry
+	// timing runs on the sim clock (see LINTING.md on wall-clock-free
+	// timers).
+	retryBackoff    = 500 * time.Millisecond
+	retryBackoffCap = 8 * time.Second
+	// coldStart is the app relaunch delay after a kill — process fork,
+	// runtime init, player setup — before the manifest re-fetch and
+	// buffer refill even begin.
+	coldStart = 2 * time.Second
+)
+
 // RecoveryPolicy configures crash-recovery playback.
 type RecoveryPolicy struct {
-	// ColdStart is the app relaunch delay after a kill — process fork,
-	// runtime init, player setup — before the manifest re-fetch and
-	// buffer refill even begin. Default 2s.
-	ColdStart time.Duration
 	// MaxRestarts caps recovery attempts; the kill after the last
 	// restart is terminal (Metrics.Crashed). Default 3.
 	MaxRestarts int
 }
 
 func (r *RecoveryPolicy) applyDefaults() {
-	if r.ColdStart <= 0 {
-		r.ColdStart = 2 * time.Second
-	}
 	if r.MaxRestarts <= 0 {
 		r.MaxRestarts = 3
 	}
@@ -87,23 +87,6 @@ func (r *RecoveryPolicy) applyDefaults() {
 func (c *Config) applyDefaults() {
 	if c.BufferCapacity <= 0 {
 		c.BufferCapacity = 60 * time.Second
-	}
-	if c.StartupBuffer <= 0 {
-		c.StartupBuffer = 4 * time.Second
-	}
-	if c.Lookahead <= 0 {
-		c.Lookahead = 2
-	}
-	if c.SwitchLatency <= 0 {
-		c.SwitchLatency = 2 * time.Second
-	}
-	if c.SegmentTimeout > 0 {
-		if c.RetryBackoff <= 0 {
-			c.RetryBackoff = 500 * time.Millisecond
-		}
-		if c.RetryBackoffCap <= 0 {
-			c.RetryBackoffCap = 8 * time.Second
-		}
 	}
 	if c.Recovery != nil {
 		c.Recovery.applyDefaults()
@@ -246,9 +229,7 @@ func Start(cfg Config) *Session {
 	}
 
 	s.download()
-	if !cfg.DisableGC {
-		s.scheduleGC()
-	}
+	s.scheduleGC()
 	d.Clock.Every(time.Second, s.samplePSS)
 	d.Clock.Every(500*time.Millisecond, s.memoryChurn)
 	d.Clock.Every(100*time.Millisecond, s.pageFaultPump)
@@ -363,7 +344,7 @@ func (s *Session) onKilled() {
 	s.chunkStallMark = s.stallTime
 	s.chunkRenderedMark = s.rendered
 	s.chunkDroppedMark = s.dropped
-	s.dev.Clock.Schedule(rec.ColdStart, s.inEpoch(s.respawn))
+	s.dev.Clock.Schedule(coldStart, s.inEpoch(s.respawn))
 }
 
 // respawn relaunches the client after the cold-start delay: new
@@ -377,9 +358,7 @@ func (s *Session) respawn() {
 	s.link.Transfer(manifestBytes, s.inEpoch(func() {
 		s.process.Main().Enqueue(s.cfg.Client.DemuxCost, s.inEpoch(s.download))
 	}))
-	if !s.cfg.DisableGC {
-		s.scheduleGC()
-	}
+	s.scheduleGC()
 }
 
 // begin starts — or, after a crash recovery, resumes — presentation
@@ -537,15 +516,16 @@ func (s *Session) download() {
 	s.fetchSegment(seg, video.SegmentBytes(s.rung, seg), 0)
 }
 
-// retryBackoff returns the delay before retry number attempt (1-based):
-// capped exponential, per Config.RetryBackoff/RetryBackoffCap.
-func (s *Session) retryBackoff(attempt int) time.Duration {
-	b := s.cfg.RetryBackoff
-	for i := 0; i < attempt && b < s.cfg.RetryBackoffCap; i++ {
+// backoff returns the delay before retrying after abandoned attempt
+// number attempt (0-based): capped exponential, retryBackoff doubling
+// up to retryBackoffCap.
+func backoff(attempt int) time.Duration {
+	b := retryBackoff
+	for i := 0; i < attempt && b < retryBackoffCap; i++ {
 		b *= 2
 	}
-	if b > s.cfg.RetryBackoffCap {
-		b = s.cfg.RetryBackoffCap
+	if b > retryBackoffCap {
+		b = retryBackoffCap
 	}
 	return b
 }
@@ -574,7 +554,7 @@ func (s *Session) fetchSegment(seg int, bytes units.Bytes, attempt int) {
 			s.downloadedTime += video.SegmentDuration
 			s.segSizes = append(s.segSizes, bytes)
 			s.process.GrowAnon(bytes, nil)
-			if !s.started && s.BufferLevel() >= s.cfg.StartupBuffer {
+			if !s.started && s.BufferLevel() >= startupBuffer {
 				s.begin()
 			}
 			s.kickDecoder()
@@ -588,7 +568,7 @@ func (s *Session) fetchSegment(seg int, bytes units.Bytes, attempt int) {
 			}
 			settled = true
 			s.retries++
-			s.dev.Clock.Schedule(s.retryBackoff(attempt), s.inEpoch(func() {
+			s.dev.Clock.Schedule(backoff(attempt), s.inEpoch(func() {
 				s.fetchSegment(seg, bytes, attempt+1)
 			}))
 		}))
@@ -600,8 +580,8 @@ func (s *Session) fetchSegment(seg int, bytes units.Bytes, attempt int) {
 func (s *Session) vsync() {
 	if !s.Active() || !s.started {
 		// !started covers recovery: the kill bumped the epoch, so a
-		// stale vsync cannot reach here, but a zero-cold-start restart
-		// could schedule a second loop — the guard keeps it single.
+		// stale vsync cannot reach here, and the guard keeps the
+		// restarted session to a single vsync loop.
 		return
 	}
 	video := s.cfg.Manifest.Video
@@ -695,7 +675,7 @@ func (s *Session) kickDecoder() {
 	if s.started && s.nextDecode < s.playFrame+minLead {
 		s.nextDecode = s.playFrame + minLead
 	}
-	if s.nextDecode > s.playFrame+minLead+s.cfg.Lookahead {
+	if s.nextDecode > s.playFrame+minLead+lookahead {
 		return // far enough ahead; vsync re-kicks
 	}
 	// The frame's media must be in the buffer.
@@ -950,7 +930,7 @@ func (s *Session) SwitchRung(to dash.Rung) {
 	if !s.Active() || to == s.rung {
 		return
 	}
-	s.dev.Clock.Schedule(s.cfg.SwitchLatency, s.inEpoch(func() {
+	s.dev.Clock.Schedule(switchLatency, s.inEpoch(func() {
 		if !s.Active() || s.rung == to {
 			return
 		}

@@ -406,7 +406,7 @@ func (p *Process) GrowAnon(b units.Bytes, onDone func()) {
 		if t.kswd != nil {
 			t.kswd.Kick()
 		}
-		kswapd.DirectReclaim(t.clock, p.main, t.mem, t.disk, kswapd.Config{}, out.NeedDirectReclaim, func(freed units.Pages) {
+		kswapd.DirectReclaim(p.main, t.mem, t.disk, out.NeedDirectReclaim, func(freed units.Pages) {
 			if p.dead {
 				return
 			}
