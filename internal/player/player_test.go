@@ -517,3 +517,56 @@ func TestChunkTraceSkipsLostSegmentOnRecovery(t *testing.T) {
 		t.Error("recovery left no index gap: lost partial segment was replayed?")
 	}
 }
+
+// TestSegmentTimeoutRetrySchedule plays through a 25 s outage that
+// starts at launch, with a 1 s segment timeout. Each attempt waits the
+// timeout, then the backoff: 500 ms doubling per abandoned attempt up
+// to the 8 s cap. Relative to launch, attempts start at
+//
+//	0, 1.5, 3.5, 6.5, 11.5, 20.5 (backoffs 0.5, 1, 2, 4, 8 s)
+//
+// and all six are abandoned, since the link delivers nothing before
+// 25 s. The seventh starts at 29.5 s (the capped 8 s backoff, not 16 s)
+// on an idle link and lands one transfer plus the link delay later,
+// 4.5 s + tx + delay after the outage ends.
+func TestSegmentTimeoutRetrySchedule(t *testing.T) {
+	const delay = 10 * time.Millisecond
+	dev := device.New(1, device.Nexus6P, device.Options{})
+	dev.Settle(2 * time.Second)
+	// 8 Mbps moves one byte per microsecond.
+	link := netem.NewLink(dev.Clock, 8*units.Mbps, delay)
+	link.OutageFor(25 * time.Second)
+	launch := dev.Clock.Now()
+	s := startSession(t, dev, dash.R240p, 30, 20*time.Second, func(c *Config) {
+		c.Link = link
+		c.SegmentTimeout = time.Second
+	})
+	bytes := s.cfg.Manifest.Video.SegmentBytes(s.cfg.Rung, 0)
+	tx := time.Duration(bytes) * time.Microsecond
+	landed := launch + 29500*time.Millisecond + tx + delay
+
+	dev.Clock.RunUntil(landed - 1)
+	if s.retries != 6 || s.throughput != 0 {
+		t.Fatalf("just before %v: %d retries, throughput %v; want 6 abandoned attempts and no delivery",
+			landed-launch, s.retries, s.throughput)
+	}
+	dev.Clock.RunUntil(landed)
+	if want := units.BitsPerSecond(float64(bytes*8) / (tx + delay).Seconds()); s.throughput != want {
+		t.Fatalf("at %v: throughput %v, want the seventh attempt delivered (%v)", landed-launch, s.throughput, want)
+	}
+
+	deadline := dev.Clock.Now() + time.Minute
+	for s.Active() && dev.Clock.Now() < deadline {
+		dev.Settle(5 * time.Second)
+	}
+	m := s.Metrics()
+	if s.Active() || m.Crashed {
+		t.Fatalf("session did not finish cleanly (active %v, crashed %v)", s.Active(), m.Crashed)
+	}
+	if m.Retries != 6 {
+		t.Errorf("Retries = %d, want 6: no attempt after the outage may time out", m.Retries)
+	}
+	if m.StartupDelay < landed-launch {
+		t.Errorf("StartupDelay = %v, before the first segment landed at %v", m.StartupDelay, landed-launch)
+	}
+}

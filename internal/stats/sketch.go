@@ -134,7 +134,7 @@ func (s *QuantileSketch) canon() {
 // result is the sketch of the union multiset: if the combined count
 // still fits ExactCap it stays exact, otherwise it collapses.
 func (s *QuantileSketch) Merge(o *QuantileSketch) {
-	if s.lo != o.lo || s.hi != o.hi || s.nbins != o.nbins || s.exactCap != o.exactCap {
+	if !s.SameShape(o) {
 		panic(fmt.Sprintf("stats: merging incompatible sketches [%v,%v)/%d/%d vs [%v,%v)/%d/%d",
 			s.lo, s.hi, s.nbins, s.exactCap, o.lo, o.hi, o.nbins, o.exactCap))
 	}
@@ -173,6 +173,12 @@ func (s *QuantileSketch) Merge(o *QuantileSketch) {
 			s.bins[i] += c
 		}
 	}
+}
+
+// SameShape reports whether s and o share lo/hi/nbins/exactCap, the
+// condition for merging them.
+func (s *QuantileSketch) SameShape(o *QuantileSketch) bool {
+	return s.lo == o.lo && s.hi == o.hi && s.nbins == o.nbins && s.exactCap == o.exactCap
 }
 
 // N returns the number of observations folded in.
@@ -347,6 +353,25 @@ func (s *QuantileSketch) UnmarshalJSON(data []byte) error {
 	}
 	if j.Bins != nil && len(j.Bins) != j.NBins {
 		return fmt.Errorf("stats: sketch state has %d bins, want %d", len(j.Bins), j.NBins)
+	}
+	// The count must match the stored values, or queries index past
+	// them: exact mode holds n ≤ exactCap raw values, binned mode holds
+	// non-negative bin counts summing to n and no raw values.
+	if j.Bins == nil {
+		if j.N != int64(len(j.Exact)) || len(j.Exact) > j.ExactCap {
+			return fmt.Errorf("stats: sketch state counts %d values but holds %d exact (cap %d)", j.N, len(j.Exact), j.ExactCap)
+		}
+	} else {
+		sum := int64(0)
+		for _, c := range j.Bins {
+			if c < 0 {
+				return fmt.Errorf("stats: sketch state has a negative bin count %d", c)
+			}
+			sum += c
+		}
+		if sum != j.N || len(j.Exact) != 0 {
+			return fmt.Errorf("stats: sketch state counts %d values but its bins hold %d (and %d exact)", j.N, sum, len(j.Exact))
+		}
 	}
 	*s = QuantileSketch{
 		lo: j.Lo, hi: j.Hi, nbins: j.NBins, exactCap: j.ExactCap,

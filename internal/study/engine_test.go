@@ -139,6 +139,41 @@ func TestStreamResumeRefusesForeignCheckpoint(t *testing.T) {
 	}
 }
 
+// TestStreamResumeRejectsCorruptCheckpoint edits a real checkpoint,
+// halted after two of eight users, into states no run could have
+// written. Each must be refused at load: unchecked, a null aggregate
+// panicked inside a worker, next -5 indexed out of range, next 0
+// counted users 0 and 1 twice, and next 100 skipped the whole fleet.
+func TestStreamResumeRejectsCorruptCheckpoint(t *testing.T) {
+	cfg, data := haltedFleet(t)
+	for _, c := range []struct{ field, value string }{
+		{"agg", "null"}, {"next", "-5"}, {"next", "0"}, {"next", "100"},
+	} {
+		t.Run(c.field+"="+c.value, func(t *testing.T) {
+			var ck map[string]json.RawMessage
+			if err := json.Unmarshal(data, &ck); err != nil {
+				t.Fatal(err)
+			}
+			ck[c.field] = json.RawMessage(c.value)
+			edited, err := json.Marshal(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := resumeWith(t, cfg, edited); err == nil ||
+				!strings.HasPrefix(err.Error(), "study: corrupt checkpoint ") {
+				t.Fatalf("err = %v, want a corrupt-checkpoint refusal", err)
+			}
+		})
+	}
+	agg, _, err := resumeWith(t, cfg, data)
+	if err != nil {
+		t.Fatalf("unedited checkpoint: %v", err)
+	}
+	if agg.Recruited != cfg.Users {
+		t.Fatalf("Recruited = %d, want %d", agg.Recruited, cfg.Users)
+	}
+}
+
 func TestStreamHaltRequiresCheckpointDir(t *testing.T) {
 	_, _, err := RunFleetStream(FleetConfig{Users: 10, Seed: 1, HaltAfter: 5,
 		Runner: SyntheticRunner()})
