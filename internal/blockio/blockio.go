@@ -71,6 +71,8 @@ type Disk struct {
 	busyUntil time.Duration
 	slow      float64 // device service-time multiplier; 1 = nominal
 	stats     Stats
+	// free holds request records whose requests mmcqd has started.
+	free []*request
 
 	// telemetry instruments; nil (free no-ops) until Instrument.
 	tmLatency *telemetry.Histogram
@@ -163,32 +165,62 @@ func (d *Disk) Write(pages units.Pages, onDone func()) {
 	d.stats.PagesWritten += pages
 }
 
+// request is one submitted block request, waiting for mmcqd to start
+// it. Records are recycled through Disk.free: run returns its record to
+// the list once it has scheduled the completion, so a disk allocates
+// only as many records as it ever has requests queued at once.
+type request struct {
+	d         *Disk
+	pages     units.Pages
+	perPage   time.Duration
+	onDone    func()
+	submitted time.Duration
+	// start is the bound run method, created once per record so a
+	// recycled record enqueues no fresh closure.
+	start func()
+}
+
 func (d *Disk) submit(pages units.Pages, perPage time.Duration, onDone func()) {
 	if pages < 0 {
 		pages = 0
 	}
-	submitted := d.clock.Now()
+	var r *request
+	if n := len(d.free); n > 0 {
+		r = d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+	} else {
+		r = &request{d: d}
+		r.start = r.run
+	}
+	r.pages, r.perPage, r.onDone, r.submitted = pages, perPage, onDone, d.clock.Now()
 	cpu := cpuPerRequest + time.Duration(pages)*cpuPerPage
-	d.mmcqd.Enqueue(cpu, func() {
-		// Device service starts when the device frees up.
-		now := d.clock.Now()
-		start := d.busyUntil
-		if start < now {
-			start = now
-		}
-		service := requestOverhead + time.Duration(pages)*perPage
-		if d.slow > 1 {
-			service = time.Duration(float64(service) * d.slow)
-		}
-		d.busyUntil = start + service
-		d.stats.DeviceBusy += service
-		if backlog := d.busyUntil - now; backlog > d.stats.PeakBacklog {
-			d.stats.PeakBacklog = backlog
-			d.tmPeak.Max(float64(backlog / time.Microsecond))
-		}
-		d.tmLatency.Observe(d.busyUntil - submitted)
-		if onDone != nil {
-			d.clock.At(d.busyUntil, onDone)
-		}
-	})
+	d.mmcqd.Enqueue(cpu, r.start)
+}
+
+// run is mmcqd finishing its CPU work on r: device service starts when
+// the device frees up.
+func (r *request) run() {
+	d := r.d
+	now := d.clock.Now()
+	start := d.busyUntil
+	if start < now {
+		start = now
+	}
+	service := requestOverhead + time.Duration(r.pages)*r.perPage
+	if d.slow > 1 {
+		service = time.Duration(float64(service) * d.slow)
+	}
+	d.busyUntil = start + service
+	d.stats.DeviceBusy += service
+	if backlog := d.busyUntil - now; backlog > d.stats.PeakBacklog {
+		d.stats.PeakBacklog = backlog
+		d.tmPeak.Max(float64(backlog / time.Microsecond))
+	}
+	d.tmLatency.Observe(d.busyUntil - r.submitted)
+	if r.onDone != nil {
+		d.clock.At(d.busyUntil, r.onDone)
+		r.onDone = nil
+	}
+	d.free = append(d.free, r)
 }

@@ -111,12 +111,17 @@ func TestQueueDepthGrowsUnderLoad(t *testing.T) {
 
 func TestNilOnDoneAllowed(t *testing.T) {
 	clock, _, _, d := setup(t, 1)
+	// The nil-callback requests reuse the first request's record; its
+	// callback must not fire again.
+	fires := 0
+	d.Write(5, func() { fires++ })
+	clock.RunUntil(100 * time.Millisecond)
 	d.Read(10, nil)
 	d.Write(10, nil)
 	clock.RunUntil(time.Second) // must not panic
 	st := d.Stats()
-	if st.ReadRequests != 1 || st.WriteRequests != 1 {
-		t.Errorf("stats = %+v", st)
+	if fires != 1 || st.ReadRequests != 1 || st.WriteRequests != 2 {
+		t.Errorf("callback fired %d times, stats = %+v", fires, st)
 	}
 }
 

@@ -148,9 +148,11 @@ type Memory struct {
 	// per-scan hot path never iterates the map.
 	wsAnon, wsFile units.Pages
 
-	// window[winHead:] is the live pressure window; winScanned and
-	// winReclaimed are running sums over it, so Pressure() is O(1) and
-	// trimming advances the head instead of shifting the slice.
+	// window[winHead:] is the live pressure window, one entry per
+	// instant with scanning (same-instant samples are merged);
+	// winScanned and winReclaimed are running sums over it, so
+	// Pressure() is O(1) and trimming advances the head instead of
+	// shifting the slice.
 	window                   []scanSample
 	winHead                  int
 	winScanned, winReclaimed units.Pages
@@ -655,12 +657,23 @@ func (m *Memory) noteScan(scanned, reclaimed units.Pages) {
 	m.tmPgscan.Add(int64(scanned))
 	m.tmPgsteal.Add(int64(reclaimed))
 	now := m.clock.Now()
-	m.window = append(m.window, scanSample{at: now, scanned: scanned, reclaimed: reclaimed})
+	// kswapd scans several batches per instant; samples that share a
+	// timestamp always leave the window together, so one entry holds
+	// their sum and Pressure is unchanged.
+	if n := len(m.window); n > m.winHead && m.window[n-1].at == now {
+		m.window[n-1].scanned += scanned
+		m.window[n-1].reclaimed += reclaimed
+	} else {
+		m.window = append(m.window, scanSample{at: now, scanned: scanned, reclaimed: reclaimed})
+	}
 	m.winScanned += scanned
 	m.winReclaimed += reclaimed
 	m.trimWindow(now)
 }
 
+// trimWindow drops the entries older than pressureWindow. It tests each
+// entry's timestamp, so samples merged into one entry leave together,
+// exactly as they would one by one.
 func (m *Memory) trimWindow(now time.Duration) {
 	for m.winHead < len(m.window) && m.window[m.winHead].at < now-pressureWindow {
 		m.winScanned -= m.window[m.winHead].scanned

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -445,5 +446,75 @@ func TestWatermarkOrdering(t *testing.T) {
 	}
 	if !m.AboveHigh() {
 		t.Error("fresh memory should be above the high watermark")
+	}
+}
+
+// TestPressureMergedWindowMatchesBruteForce drives noteScan with random
+// same-instant bursts and checks Pressure against a brute-force sum over
+// every raw sample still inside the window. Reads land exactly on the
+// trim boundary (a sample pressureWindow old still counts, one
+// nanosecond older does not), and idle gaps drain the window fully
+// before it refills. The merged window must also hold one entry per
+// live instant.
+func TestPressureMergedWindowMatchesBruteForce(t *testing.T) {
+	type sample struct {
+		at                 time.Duration
+		scanned, reclaimed units.Pages
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		clock, m := newMem(t)
+		var raw []sample
+		check := func(what string) {
+			t.Helper()
+			now := clock.Now()
+			var s, rec units.Pages
+			instants := map[time.Duration]bool{}
+			for _, x := range raw {
+				if x.at >= now-pressureWindow {
+					s += x.scanned
+					rec += x.reclaimed
+					instants[x.at] = true
+				}
+			}
+			want := 0.0
+			if s != 0 {
+				want = max(0, (1-float64(rec)/float64(s))*100)
+			}
+			if got := m.Pressure(); got != want {
+				t.Fatalf("seed %d, %s at %v: Pressure = %v, brute force %v", seed, what, now, got, want)
+			}
+			if live := len(m.window) - m.winHead; live != len(instants) {
+				t.Fatalf("seed %d, %s at %v: %d window entries for %d live instants", seed, what, now, live, len(instants))
+			}
+		}
+		for step := 0; step < 300; step++ {
+			var next time.Duration
+			switch k := r.Intn(10); {
+			case k < 4 && len(raw) > 0:
+				// Exactly on, or one nanosecond past, the trim boundary of
+				// a recorded sample.
+				at := raw[r.Intn(len(raw))].at + pressureWindow + time.Duration(r.Intn(2))
+				next = max(clock.Now(), at)
+			case k == 4:
+				// An idle gap that drains the whole window.
+				next = clock.Now() + pressureWindow + time.Duration(1+r.Intn(int(time.Second)))
+			case k == 5:
+				next = clock.Now() // another burst at the same instant
+			default:
+				next = clock.Now() + time.Duration(1+r.Intn(300))*time.Millisecond
+			}
+			clock.RunUntil(next)
+			if r.Intn(3) == 0 {
+				check("read before burst")
+			}
+			for n := r.Intn(6); n > 0; n-- {
+				scanned := units.Pages(r.Intn(256))
+				reclaimed := units.Pages(r.Int63n(int64(scanned) + 1))
+				m.noteScan(scanned, reclaimed)
+				raw = append(raw, sample{clock.Now(), scanned, reclaimed})
+			}
+			check("read after burst")
+		}
 	}
 }

@@ -295,11 +295,13 @@ type Scheduler struct {
 	// doesn't allocate a fresh closure every millisecond.
 	stepFn func()
 
-	// stepEv is the queued step event. When every runnable thread holds
-	// a core, step postpones it past the ticks that would only repeat
-	// the same accounting (see fastForwardTarget); pendingSkip counts
-	// those ticks for the next step to catch up on, and skippedTicks
-	// counts all ticks caught up on that way.
+	// stepEv is the step event, one for the scheduler's lifetime: each
+	// step re-queues it with RequeueTick instead of scheduling a fresh
+	// one, so it must never be handed out. When every runnable thread
+	// holds a core, step postpones it past the ticks that would only
+	// repeat the same accounting (see fastForwardTarget); pendingSkip
+	// counts those ticks for the next step to catch up on, and
+	// skippedTicks counts all ticks caught up on that way.
 	stepEv       *simclock.Event
 	pendingSkip  int64
 	skippedTicks int64
@@ -607,7 +609,7 @@ func (s *Scheduler) step() {
 		return
 	}
 	now := s.clock.Now()
-	s.stepEv = s.clock.ScheduleTick(s.tick, s.stepFn)
+	s.clock.RequeueTick(s.stepEv, s.tick)
 	if s.pendingSkip > 0 {
 		s.fastForward(s.pendingSkip)
 		s.pendingSkip = 0

@@ -156,3 +156,68 @@ func TestPropertyCancelIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPropertyRequeueTickMatchesScheduleTick drives two clocks with the
+// same random script: a tick that re-arms itself every firing, plus
+// one-shots it schedules, many of them at the tick's own instants and
+// some scheduling further same-instant one-shots. One clock re-arms by
+// RequeueTick on the one event, the other by a fresh ScheduleTick. Both
+// digests and the callback order must match: reusing the event may not
+// change a time, a sequence number or an ordinal.
+func TestPropertyRequeueTickMatchesScheduleTick(t *testing.T) {
+	run := func(ops []uint16, requeue bool) (full, tickFree uint64, log string) {
+		c := New(1)
+		c.EnableDigest()
+		var out []byte
+		note := func(b byte) { out = append(out, b) }
+		next := 0
+		var tick *Event
+		var fn func()
+		fn = func() {
+			note('t')
+			if next >= len(ops) {
+				return
+			}
+			op := ops[next]
+			next++
+			period := time.Duration(op&3+1) * time.Millisecond
+			rearm := func() {
+				if requeue {
+					c.RequeueTick(tick, period)
+				} else {
+					tick = c.ScheduleTick(period, fn)
+				}
+			}
+			// Re-arm before or after the one-shots: the tick's sequence
+			// number among same-instant events depends on it.
+			if op&4 == 0 {
+				rearm()
+			}
+			for i := 0; i < int(op>>3&3); i++ {
+				// Delays of 0, one and two tick periods land on instants
+				// the tick also fires at.
+				d := time.Duration(op>>(5+2*i)&3) * time.Millisecond
+				id := byte('a' + i)
+				if op>>11&1 == 1 {
+					c.Schedule(d, func() { note(id); c.Schedule(0, func() { note(id + 8) }) })
+				} else {
+					c.Schedule(d, func() { note(id) })
+				}
+			}
+			if op&4 != 0 {
+				rearm()
+			}
+		}
+		tick = c.ScheduleTick(0, fn)
+		c.RunUntil(time.Duration(4*len(ops)+8) * time.Millisecond)
+		return c.Digest(), c.TickFreeDigest(), string(out)
+	}
+	prop := func(ops []uint16) bool {
+		f1, n1, l1 := run(ops, true)
+		f2, n2, l2 := run(ops, false)
+		return f1 == f2 && n1 == n2 && l1 == l2
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

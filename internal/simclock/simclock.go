@@ -25,7 +25,8 @@
 // events: the dispatch loop is the single hottest path of the whole
 // simulator, so it avoids container/heap's interface dispatch, allocates
 // events in chunks instead of one at a time, re-arms periodic events in
-// place (no pop+push), and removes canceled events immediately rather
+// place (no pop+push), lets the scheduler re-queue its own fired tick
+// event (RequeueTick), and removes canceled events immediately rather
 // than letting them age through the queue.
 package simclock
 
@@ -48,9 +49,11 @@ type Clock struct {
 
 	// slab is the current event allocation chunk: events are handed out
 	// from fixed-capacity chunks so scheduling doesn't pay one heap
-	// allocation per event. Events are never recycled — a fired event's
-	// handle stays valid (callers may Cancel it long after it fired), so
-	// a free list would hand two owners the same struct.
+	// allocation per event. The clock never recycles an event — a fired
+	// event's handle stays valid (callers may Cancel it long after it
+	// fired), so a free list would hand two owners the same struct. The
+	// one exception is owner-held: RequeueTick lets the scheduler, the
+	// sole holder of its tick event, queue that fired event again.
 	slab []Event
 
 	// digest accumulates an FNV-1a hash over every dispatched event's
@@ -206,7 +209,8 @@ func (c *Clock) remove(i int) {
 
 // newEvent hands out one event from the current slab chunk, starting a
 // fresh chunk when full. Appending within capacity never moves the
-// backing array, so returned pointers stay valid.
+// backing array, so returned pointers stay valid. Each call takes a new
+// slot; only RequeueTick puts an already-used event back in the queue.
 func (c *Clock) newEvent() *Event {
 	if len(c.slab) == cap(c.slab) {
 		c.slab = make([]Event, 0, slabSize)
@@ -306,6 +310,27 @@ func (c *Clock) ScheduleTick(d time.Duration, fn func()) *Event {
 		d = 0
 	}
 	return c.at(c.now+d, fn, true)
+}
+
+// RequeueTick queues the fired one-shot tick event e again, d from now
+// (a negative d counts as zero), with the callback it had. It gives e
+// the time and sequence number ScheduleTick(d, fn) would give a fresh
+// event and pushes it the same way, so dispatch order and both digests
+// are exactly those of a ScheduleTick call; only the allocation is
+// saved. The caller must be e's sole holder, because every handle to e
+// now names the new firing. RequeueTick panics if e is queued, periodic,
+// canceled, not a tick, or from another clock.
+func (c *Clock) RequeueTick(e *Event, d time.Duration) {
+	if e.index >= 0 || e.period > 0 || e.canceled || !e.tick || e.clock != c {
+		panic("simclock: RequeueTick needs a fired one-shot tick event of this clock")
+	}
+	if d < 0 {
+		d = 0
+	}
+	e.at = c.now + d
+	e.seq = c.seq
+	c.seq++
+	c.push(e)
 }
 
 // At runs fn at absolute virtual time t. Times in the past are clamped

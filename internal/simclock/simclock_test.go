@@ -447,3 +447,50 @@ func TestPostpone(t *testing.T) {
 		t.Errorf("When after Postpone = %v, want 4ms", ev.When())
 	}
 }
+
+// TestRequeueTick re-queues a fired tick from its own callback: the one
+// event keeps firing on the tick cadence, its handle reports each new
+// time, and every misuse panics.
+func TestRequeueTick(t *testing.T) {
+	c := New(1)
+	var fires []time.Duration
+	var tick *Event
+	tick = c.ScheduleTick(0, func() {
+		fires = append(fires, c.Now())
+		c.RequeueTick(tick, 2*time.Millisecond)
+	})
+	c.RunUntil(7 * time.Millisecond)
+	if want := "[0s 2ms 4ms 6ms]"; fmt.Sprint(fires) != want {
+		t.Errorf("fires = %v, want %v", fires, want)
+	}
+	if tick.When() != 8*time.Millisecond || c.Pending() != 1 {
+		t.Errorf("When = %v, Pending = %d; want 8ms, 1", tick.When(), c.Pending())
+	}
+
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: RequeueTick did not panic", name)
+			}
+		}()
+		f()
+	}
+	c = New(1)
+	queued := c.ScheduleTick(time.Millisecond, func() {})
+	mustPanic("queued", func() { c.RequeueTick(queued, time.Millisecond) })
+	periodic := c.Every(time.Millisecond, func() {})
+	mustPanic("periodic", func() { c.RequeueTick(periodic, time.Millisecond) })
+	periodic.Cancel()
+	mustPanic("periodic, canceled", func() { c.RequeueTick(periodic, time.Millisecond) })
+	oneShot := c.Schedule(0, func() {})
+	canceledTick := c.ScheduleTick(0, func() {})
+	canceledTick.Cancel()
+	c.RunUntil(5 * time.Millisecond)
+	mustPanic("non-tick", func() { c.RequeueTick(oneShot, time.Millisecond) })
+	mustPanic("canceled tick", func() { c.RequeueTick(canceledTick, time.Millisecond) })
+	mustPanic("other clock", func() { New(1).RequeueTick(queued, time.Millisecond) })
+	if c.Pending() != 0 {
+		t.Errorf("Pending = %d after panicking calls, want 0", c.Pending())
+	}
+}
