@@ -9,6 +9,7 @@ package dash
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"coalqoe/internal/units"
@@ -56,17 +57,30 @@ func (r Resolution) Dimensions() (w, h int) {
 	}
 }
 
-// String renders like "1080p".
+// resolutionNames holds each supported resolution's name, indexed by
+// Resolution, so String and ParseResolution format nothing.
+var resolutionNames = func() []string {
+	names := make([]string, len(Resolutions))
+	for _, r := range Resolutions {
+		_, h := r.Dimensions()
+		names[r] = strconv.Itoa(h) + "p"
+	}
+	return names
+}()
+
+// String renders like "1080p"; an unknown resolution renders "0p".
 func (r Resolution) String() string {
-	_, h := r.Dimensions()
-	return fmt.Sprintf("%dp", h)
+	if r >= 0 && int(r) < len(resolutionNames) {
+		return resolutionNames[r]
+	}
+	return "0p"
 }
 
 // ParseResolution converts "720p" style strings.
 func ParseResolution(s string) (Resolution, error) {
-	for _, r := range Resolutions {
-		if r.String() == s {
-			return r, nil
+	for r, name := range resolutionNames {
+		if name == s {
+			return Resolution(r), nil
 		}
 	}
 	return 0, fmt.Errorf("dash: unknown resolution %q", s)

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,7 +47,7 @@ func (m *Manifest) DTO() ManifestDTO {
 	for _, r := range m.Rungs {
 		w, h := r.Resolution.Dimensions()
 		dto.Representations = append(dto.Representations, RungDTO{
-			ID:      fmt.Sprintf("%s%d", r.Resolution, r.FPS),
+			ID:      rungID(r),
 			Width:   w,
 			Height:  h,
 			FPS:     r.FPS,
@@ -54,6 +55,11 @@ func (m *Manifest) DTO() ManifestDTO {
 		})
 	}
 	return dto
+}
+
+// rungID names a rung the way URLs and the manifest do: "1080p60".
+func rungID(r Rung) string {
+	return r.Resolution.String() + strconv.Itoa(r.FPS)
 }
 
 // Server serves a manifest and synthetic segments over HTTP, standing
@@ -74,6 +80,10 @@ func (m *Manifest) DTO() ManifestDTO {
 // the serving path, not a metrics mutex. Each snapshot records them,
 // and each attached subsystem's stats, into a fresh
 // telemetry.Registry.
+//
+// Segment bodies are read-only views of one process-wide filler
+// buffer (see synthBody), so serving a segment copies nothing, and
+// every cached body shares that buffer.
 type Server struct {
 	manifest *Manifest
 	mux      *http.ServeMux
@@ -82,16 +92,24 @@ type Server struct {
 	inflight     atomic.Int64
 
 	// ladder is the manifest's rungs sorted by ascending bitrate, with
-	// ladderIdx mapping rep id -> ladder position; fixed at
-	// construction so brownout demotion is two lookups on the hot path.
+	// ladderIdx mapping (resolution, fps) -> ladder position and ids[i]
+	// naming ladder[i]; fixed at construction so a request finds its
+	// rung, its demotion and its name without formatting anything.
 	// served[i] counts the requests and bytes served at ladder[i].
 	ladder    []Rung
-	ladderIdx map[string]int
+	ladderIdx map[rungKey]int
+	ids       []string
 	served    []rungCounters
 
 	cache    *cdn.Cache
 	chaos    *cdn.Chaos
 	governor *cdn.Governor
+}
+
+// rungKey identifies a representation.
+type rungKey struct {
+	res Resolution
+	fps int
 }
 
 // rungCounters are one representation's hot-path counters.
@@ -103,7 +121,10 @@ type rungCounters struct {
 // ServerOptions attaches the optional serving subsystems.
 type ServerOptions struct {
 	// Cache serves segment bodies through a cdn.Cache (admission, LRU,
-	// coalescing) instead of regenerating them per request.
+	// coalescing). Cached bodies are views of one shared read-only
+	// buffer, so the cache's Capacity bounds the logical bytes it
+	// holds, not resident memory: the buffer is sized by the largest
+	// segment served, however many entries share it.
 	Cache *cdn.Cache
 	// Chaos gates every segment request through a server-side fault
 	// plan (5xx bursts, injected latency, origin slowdown). Manifest
@@ -138,9 +159,11 @@ func NewServerOpts(m *Manifest, opts ServerOptions) *Server {
 		}
 		return s.ladder[i].FPS < s.ladder[j].FPS
 	})
-	s.ladderIdx = make(map[string]int, len(s.ladder))
+	s.ladderIdx = make(map[rungKey]int, len(s.ladder))
+	s.ids = make([]string, len(s.ladder))
 	for i, r := range s.ladder {
-		s.ladderIdx[fmt.Sprintf("%s%d", r.Resolution, r.FPS)] = i
+		s.ladderIdx[rungKey{r.Resolution, r.FPS}] = i
+		s.ids[i] = rungID(r)
 	}
 	s.served = make([]rungCounters, len(s.ladder))
 	s.mux.HandleFunc("GET /manifest.json", s.handleManifest)
@@ -165,8 +188,7 @@ func (s *Server) MetricsSnapshot() map[string]float64 {
 	reg := telemetry.NewRegistry()
 	reg.Counter("dash.manifest_requests").Add(s.manifestReqs.Load())
 	reg.Gauge("dash.inflight_requests").Set(float64(s.inflight.Load()))
-	for i, r := range s.ladder {
-		id := fmt.Sprintf("%s%d", r.Resolution, r.FPS)
+	for i, id := range s.ids {
 		reg.Counter("dash.segment_requests." + id).Add(s.served[i].requests.Load())
 		reg.Counter("dash.segment_bytes." + id).Add(s.served[i].bytes.Load())
 	}
@@ -219,22 +241,22 @@ func parseRepID(id string) (Resolution, int, error) {
 }
 
 func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
-	parts := strings.Split(strings.TrimPrefix(r.URL.Path, "/video/"), "/")
-	if len(parts) != 2 {
+	rep, segText, ok := strings.Cut(strings.TrimPrefix(r.URL.Path, "/video/"), "/")
+	if !ok || strings.Contains(segText, "/") {
 		http.Error(w, "want /video/<rep>/<segment>", http.StatusBadRequest)
 		return
 	}
-	res, fps, err := parseRepID(parts[0])
+	res, fps, err := parseRepID(rep)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	rung, ok := s.manifest.Rung(res, fps)
+	idx, ok := s.ladderIdx[rungKey{res, fps}]
 	if !ok {
 		http.Error(w, "no such representation", http.StatusNotFound)
 		return
 	}
-	seg, err := strconv.Atoi(parts[1])
+	seg, err := strconv.Atoi(segText)
 	if err != nil || seg < 0 || seg >= s.manifest.Video.Segments() {
 		http.Error(w, "no such segment", http.StatusNotFound)
 		return
@@ -283,27 +305,28 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		}
 		originDelay = effect.OriginDelay
 	}
-	// Brownout: serve a lower ladder rung than requested — degrade
-	// quality, not availability. The response advertises the served
-	// rung so clients account honestly.
+	// Brownout: serve a lower ladder rung than requested, clamped at
+	// the floor — degrade quality, not availability. The response
+	// advertises the served rung so clients account honestly.
 	if demote > 0 {
-		served := s.demoteRung(rung, demote)
-		if served != rung {
-			rung = served
-			w.Header().Set(ServedRungHeader, fmt.Sprintf("%s%d", rung.Resolution, rung.FPS))
+		if served := max(idx-demote, 0); served != idx {
+			idx = served
+			w.Header().Set(ServedRungHeader, s.ids[idx])
 		}
 	}
-	size := s.manifest.Video.SegmentBytes(rung, seg)
+	size := s.manifest.Video.SegmentBytes(s.ladder[idx], seg)
 	// Metrics count the rung actually served: under brownout the
 	// /metrics rung mix shifts visibly toward the ladder's floor.
-	id := fmt.Sprintf("%s%d", rung.Resolution, rung.FPS)
-	rc := &s.served[s.ladderIdx[id]]
+	rc := &s.served[idx]
 	rc.requests.Add(1)
 	rc.bytes.Add(int64(size))
 	w.Header().Set("Content-Type", "video/mp4")
 	w.Header().Set("Content-Length", strconv.FormatInt(int64(size), 10))
+	var body []byte
 	if s.cache != nil {
-		body, _, _ := s.cache.Get(id+"/"+parts[1], func() ([]byte, error) {
+		// The key is canonical: "/07" and "/+7" parse to segment 7 and
+		// must share its entry, not store it again.
+		body, _, _ = s.cache.Get(s.ids[idx]+"/"+strconv.Itoa(seg), func() ([]byte, error) {
 			if originDelay > 0 {
 				// Coalesced waiters share the leader's stall, like they
 				// share its generation: an origin slowdown is paid once.
@@ -311,64 +334,55 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 			}
 			return synthBody(size), nil
 		})
-		w.Write(body)
-		return
+	} else {
+		if originDelay > 0 {
+			s.chaos.Delay(originDelay)
+		}
+		body = synthBody(size)
 	}
-	if originDelay > 0 {
-		s.chaos.Delay(originDelay)
-	}
-	writeSynthetic(w, size)
+	w.Write(body)
 }
 
-// demoteRung steps down the bitrate ladder, clamping at the floor —
-// brownout never promotes and never falls off the ladder.
-func (s *Server) demoteRung(rung Rung, steps int) Rung {
-	idx, ok := s.ladderIdx[fmt.Sprintf("%s%d", rung.Resolution, rung.FPS)]
-	if !ok {
-		return rung
+// Every synthetic segment body is a prefix of one byte sequence,
+// body[i] = byte(i*31). synthFiller publishes the longest prefix made
+// so far; synthGrow, under synthMu, replaces it with a longer one.
+// A published buffer is never written again, so views handed out
+// before a growth stay valid and need no lock to read.
+var (
+	synthMu     sync.Mutex
+	synthFiller atomic.Pointer[[]byte]
+)
+
+// synthBody returns a size-byte synthetic segment: a read-only view of
+// the shared filler, capped so an append cannot write into it. The
+// cache stores and coalesces these views; nothing copies the bytes.
+func synthBody(size units.Bytes) []byte {
+	n := int(size)
+	if p := synthFiller.Load(); p != nil && len(*p) >= n {
+		return (*p)[:n:n]
 	}
-	if idx -= steps; idx < 0 {
-		idx = 0
-	}
-	return s.ladder[idx]
+	return synthGrow(n)[:n:n]
 }
 
-// synthPattern is the immutable 64 KiB filler block every synthetic
-// segment is cut from. Hoisted to package level: the seed server
-// allocated and refilled this buffer on every request, which under
-// load was the allocator benchmarking itself.
-var synthPattern = func() []byte {
-	buf := make([]byte, 64*1024)
+// synthGrow publishes a filler of at least n bytes and returns it. It
+// at least doubles the old length, so a rising run of sizes makes a
+// logarithmic number of buffers, all of them together under four times
+// the largest body served.
+func synthGrow(n int) []byte {
+	synthMu.Lock()
+	defer synthMu.Unlock()
+	if p := synthFiller.Load(); p != nil {
+		if len(*p) >= n {
+			return *p
+		}
+		n = max(n, 2*len(*p))
+	}
+	buf := make([]byte, n)
 	for i := range buf {
 		buf[i] = byte(i * 31)
 	}
+	synthFiller.Store(&buf)
 	return buf
-}()
-
-// writeSynthetic streams size bytes of deterministic filler without
-// allocating: it writes slices of the shared immutable pattern.
-func writeSynthetic(w io.Writer, size units.Bytes) {
-	remaining := int64(size)
-	for remaining > 0 {
-		n := int64(len(synthPattern))
-		if remaining < n {
-			n = remaining
-		}
-		if _, err := w.Write(synthPattern[:n]); err != nil {
-			return
-		}
-		remaining -= n
-	}
-}
-
-// synthBody materializes a full synthetic segment body — the origin
-// generation the cache stores and coalesces.
-func synthBody(size units.Bytes) []byte {
-	body := make([]byte, int64(size))
-	for off := 0; off < len(body); off += len(synthPattern) {
-		copy(body[off:], synthPattern)
-	}
-	return body
 }
 
 // Client fetches manifests and segments from a dash Server over HTTP.

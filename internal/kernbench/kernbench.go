@@ -14,10 +14,14 @@
 package kernbench
 
 import (
+	"math/rand"
+	"net/http"
+	"strconv"
 	"testing"
 	"time"
 
 	"coalqoe/internal/arena"
+	"coalqoe/internal/cdn"
 	"coalqoe/internal/dash"
 	"coalqoe/internal/device"
 	"coalqoe/internal/exp"
@@ -51,6 +55,7 @@ var Suite = []Entry{
 	{"grid/fig9quick", GridFig9Quick},
 	{"fleet/users10k", FleetUsers10k},
 	{"arena/quick", ArenaQuick},
+	{"serve/mixed", ServeMixed},
 }
 
 // Lookup returns the named suite entry.
@@ -316,4 +321,81 @@ func ArenaQuick(b *testing.B) {
 			b.Fatalf("leaderboard has %d rows, want %d", len(res.Board), len(arena.Entrants()))
 		}
 	}
+}
+
+// ServeMixed measures the in-process serving path: dash.Server.ServeHTTP
+// over a coalescing 256 MiB cdn.Cache and a cdn.Governor, replaying a
+// fixed loop of 4096 requests drawn Zipf (s = 1.1) from a fixed
+// ranking of every rung and segment of the full ladder (1080 keys,
+// about 3.6 GB), so the loop mixes cache hits with fills. The loop is
+// played once before timing, so the cache starts warm. One op = one
+// request.
+func ServeMixed(b *testing.B) {
+	m := dash.NewManifest(dash.TestVideos[0], dash.StandardFPS...)
+	var paths []string
+	for _, r := range m.Rungs {
+		id := r.Resolution.String() + strconv.Itoa(r.FPS)
+		for seg := 0; seg < m.Video.Segments(); seg++ {
+			paths = append(paths, "/video/"+id+"/"+strconv.Itoa(seg))
+		}
+	}
+	rng := rand.New(rand.NewSource(20))
+	rng.Shuffle(len(paths), func(i, j int) { paths[i], paths[j] = paths[j], paths[i] })
+	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(paths)-1))
+	reqs := make([]*http.Request, 4096)
+	for i := range reqs {
+		r, err := http.NewRequest(http.MethodGet, "http://bench"+paths[zipf.Uint64()], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs[i] = r
+	}
+	epoch := time.Unix(1700000000, 0)
+	srv := dash.NewServerOpts(m, dash.ServerOptions{
+		Cache:    cdn.New(cdn.Config{Capacity: 256 << 20, Coalesce: true}),
+		Governor: cdn.NewGovernor(cdn.GovernorConfig{MaxInflight: 16}, func() time.Time { return epoch }),
+	})
+	w := &discardResponse{h: make(http.Header)}
+	serve := func(r *http.Request) {
+		w.reset()
+		srv.ServeHTTP(w, r)
+		if w.status != http.StatusOK || w.n == 0 {
+			b.Fatalf("%s: status %d, %d bytes", r.URL.Path, w.status, w.n)
+		}
+	}
+	for _, r := range reqs {
+		serve(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(reqs[i%len(reqs)])
+	}
+}
+
+// discardResponse is an http.ResponseWriter that keeps the status and
+// counts body bytes, and keeps no body.
+type discardResponse struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *discardResponse) Header() http.Header { return w.h }
+
+func (w *discardResponse) WriteHeader(code int) {
+	if w.status == 0 {
+		w.status = code
+	}
+}
+
+func (w *discardResponse) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	w.n += len(p)
+	return len(p), nil
+}
+
+func (w *discardResponse) reset() {
+	clear(w.h)
+	w.status, w.n = 0, 0
 }
