@@ -343,7 +343,7 @@ func Attach(sess *player.Session, dev *device.Device, algo Algorithm, interval t
 			Current:        sess.Rung(),
 			Ladder:         ladder,
 			Buffer:         sess.BufferLevel(),
-			BufferCapacity: 60 * time.Second,
+			BufferCapacity: player.BufferCapacity,
 			Throughput:     sess.Throughput(),
 			Signal:         c.lastSignal,
 			SignalAge:      dev.Clock.Now() - c.lastSignalAt,

@@ -62,12 +62,35 @@ type Plan struct {
 	Spec *faults.Spec
 }
 
-// DefaultPlans returns the arena's fault axis: clean conditions, the
-// memory-spike storm (the paper's subject), and flaky WiFi (the
-// network control the classic algorithms were designed for).
-func DefaultPlans() []Plan {
+// plans is the arena's fault axis: clean conditions, the memory-spike
+// storm (the paper's subject), and flaky WiFi (the network control the
+// classic algorithms were designed for).
+var plans = func() []Plan {
 	mem, net := faults.MemStorm(), faults.NetFlaky()
 	return []Plan{{Name: "none"}, {Name: mem.Name, Spec: &mem}, {Name: net.Name, Spec: &net}}
+}()
+
+// entrants is the roster every tournament runs; devices is its device
+// axis, the paper's three phones.
+var (
+	entrants = Entrants()
+	devices  = []device.Profile{device.Nokia1, device.Nexus5, device.Nexus6P}
+)
+
+// startRes/startFPS is the rung every arena session starts on.
+const (
+	startRes = dash.R1080p
+	startFPS = 60
+)
+
+// video returns the arena content: the travel video, cut to 60s in
+// quick mode.
+func video(quick bool) dash.Video {
+	v := dash.TestVideos[0]
+	if quick {
+		v.Duration = 60 * time.Second
+	}
+	return v
 }
 
 // Config parameterizes a tournament.
@@ -79,19 +102,8 @@ type Config struct {
 	Parallel int
 	Progress func(exp.ProgressEvent)
 
-	// Entrants defaults to Entrants(); Devices to Nokia 1 / Nexus 5 /
-	// Nexus 6P; Regimes to Normal / Moderate / Critical; Plans to
-	// DefaultPlans().
-	Entrants []Entrant
-	Devices  []device.Profile
-	Regimes  []proc.Level
-	Plans    []Plan
-
-	// Video is the content (default: the travel video, cut to 60s in
-	// Quick mode); Resolution/FPS the starting rung (default 1080p60).
-	Video      dash.Video
-	Resolution dash.Resolution
-	FPS        int
+	// Regimes defaults to Normal / Moderate / Critical.
+	Regimes []proc.Level
 }
 
 // linkRate/linkDelay shape the bottleneck link every arena run plays
@@ -112,30 +124,8 @@ func (c *Config) applyDefaults() {
 			c.Runs = 3
 		}
 	}
-	if len(c.Entrants) == 0 {
-		c.Entrants = Entrants()
-	}
-	if len(c.Devices) == 0 {
-		c.Devices = []device.Profile{device.Nokia1, device.Nexus5, device.Nexus6P}
-	}
 	if len(c.Regimes) == 0 {
 		c.Regimes = []proc.Level{proc.Normal, proc.Moderate, proc.Critical}
-	}
-	if len(c.Plans) == 0 {
-		c.Plans = DefaultPlans()
-	}
-	if c.Video.Title == "" {
-		c.Video = dash.TestVideos[0]
-		if c.Quick {
-			c.Video.Duration = 60 * time.Second
-		}
-	}
-	if c.Resolution == 0 && c.FPS == 0 {
-		c.Resolution = dash.R1080p
-		c.FPS = 60
-	}
-	if c.FPS == 0 {
-		c.FPS = 60
 	}
 }
 
@@ -146,15 +136,13 @@ func tweaks(pc *player.Config) {
 
 // ladder returns the decision/scoring ladder — the same 24/30/48/60
 // rung set VideoRun defaults the manifest to.
-func (c *Config) ladder() []dash.Rung {
+func ladder() []dash.Rung {
 	return dash.Ladder(24, 30, 48, 60)
 }
 
 // Objective returns the scoring objective for this configuration.
 func (c *Config) Objective() *qoe.Objective {
-	cc := *c
-	cc.applyDefaults()
-	return qoe.DefaultObjective(cc.ladder(), cc.Video)
+	return qoe.DefaultObjective(ladder(), video(c.Quick))
 }
 
 // Cell is one tournament cell: an (entrant, device, regime, plan)
@@ -201,21 +189,22 @@ type Standing struct {
 // Run executes the tournament.
 func Run(cfg Config) *Result {
 	cfg.applyDefaults()
-	obj := qoe.DefaultObjective(cfg.ladder(), cfg.Video)
+	v := video(cfg.Quick)
+	obj := qoe.DefaultObjective(ladder(), v)
 
 	type key struct{ e, d, reg, p int }
 	var cells []exp.VideoRun
 	var keys []key
-	for ei, e := range cfg.Entrants {
+	for ei, e := range entrants {
 		mk := e.New
-		for di, d := range cfg.Devices {
+		for di, d := range devices {
 			for ri, reg := range cfg.Regimes {
-				for pi, p := range cfg.Plans {
+				for pi, p := range plans {
 					vr := exp.VideoRun{
 						Profile:      d,
-						Video:        cfg.Video,
-						Resolution:   cfg.Resolution,
-						FPS:          cfg.FPS,
+						Video:        v,
+						Resolution:   startRes,
+						FPS:          startFPS,
 						Pressure:     reg,
 						Faults:       p.Spec,
 						PlayerTweaks: tweaks,
@@ -240,10 +229,10 @@ func Run(cfg Config) *Result {
 	for i, runs := range grid {
 		k := keys[i]
 		c := Cell{
-			Entrant: cfg.Entrants[k.e].Name,
-			Device:  cfg.Devices[k.d].Name,
+			Entrant: entrants[k.e].Name,
+			Device:  devices[k.d].Name,
 			Regime:  cfg.Regimes[k.reg],
-			Plan:    cfg.Plans[k.p].Name,
+			Plan:    plans[k.p].Name,
 			Runs:    len(runs),
 		}
 		n := 0
@@ -253,7 +242,7 @@ func Run(cfg Config) *Result {
 				continue
 			}
 			n++
-			b := obj.Score(qoe.TraceFrom(r.Metrics, cfg.Video))
+			b := obj.Score(qoe.TraceFrom(r.Metrics, v))
 			c.QoE.Quality += b.Quality
 			c.QoE.Startup += b.Startup
 			c.QoE.Rebuffer += b.Rebuffer
@@ -288,9 +277,9 @@ func Run(cfg Config) *Result {
 
 // standings folds cells into the per-entrant leaderboard.
 func standings(cfg Config, cells []Cell) []Standing {
-	perEntrant := len(cfg.Devices) * len(cfg.Regimes) * len(cfg.Plans)
-	board := make([]Standing, len(cfg.Entrants))
-	for i, e := range cfg.Entrants {
+	perEntrant := len(devices) * len(cfg.Regimes) * len(plans)
+	board := make([]Standing, len(entrants))
+	for i, e := range entrants {
 		s := Standing{Entrant: e.Name}
 		for j := i * perEntrant; j < (i+1)*perEntrant; j++ {
 			c := cells[j]
@@ -324,7 +313,7 @@ func standings(cfg Config, cells []Cell) []Standing {
 	for j := 0; j < perEntrant; j++ {
 		bestIdx, best := -1, 0.0
 		unique := true
-		for i := range cfg.Entrants {
+		for i := range entrants {
 			q := cells[i*perEntrant+j].QoE.Total
 			if bestIdx == -1 || q > best {
 				bestIdx, best, unique = i, q, true
@@ -375,8 +364,9 @@ func (r *Result) WriteLeaderboard(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "grid: %d algorithms x %d devices x %d regimes x %d plans, %d runs/cell, seed %d\n",
-		len(cfg.Entrants), len(cfg.Devices), len(cfg.Regimes), len(cfg.Plans), cfg.Runs, cfg.Seed)
-	fmt.Fprintf(w, "content: %s (%v, start %s%d)\n", cfg.Video.Title, cfg.Video.Duration, cfg.Resolution, cfg.FPS)
+		len(entrants), len(devices), len(cfg.Regimes), len(plans), cfg.Runs, cfg.Seed)
+	v := video(cfg.Quick)
+	fmt.Fprintf(w, "content: %s (%v, start %s%d)\n", v.Title, v.Duration, startRes, startFPS)
 	fmt.Fprintf(w, "objective: quality - startup - rebuffer - smoothness - energy - crash (per expected chunk)\n\n")
 
 	fmt.Fprintf(w, "%-4s %-9s %8s %8s %8s %8s %7s %7s %7s %6s %7s %7s %5s\n",
@@ -389,13 +379,13 @@ func (r *Result) WriteLeaderboard(w io.Writer) error {
 
 	fmt.Fprintf(w, "\nmean QoE by fault plan:\n")
 	fmt.Fprintf(w, "%-9s", "algorithm")
-	for _, p := range cfg.Plans {
+	for _, p := range plans {
 		fmt.Fprintf(w, " %9s", p.Name)
 	}
 	fmt.Fprintln(w)
 	for _, s := range r.Board {
 		fmt.Fprintf(w, "%-9s", s.Entrant)
-		for _, p := range cfg.Plans {
+		for _, p := range plans {
 			fmt.Fprintf(w, " %9.2f", r.PlanMeans(p.Name)[s.Entrant])
 		}
 		fmt.Fprintln(w)

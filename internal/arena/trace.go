@@ -28,11 +28,10 @@ import (
 // tournament cell, so the exported trace is a member of the grid, not
 // a new scenario.
 func WriteDecisionTrace(cfg Config, entrant string, regime proc.Level, plan string, w io.Writer) error {
-	cfg.applyDefaults()
 	var ent *Entrant
-	for i := range cfg.Entrants {
-		if cfg.Entrants[i].Name == entrant {
-			ent = &cfg.Entrants[i]
+	for i := range entrants {
+		if entrants[i].Name == entrant {
+			ent = &entrants[i]
 			break
 		}
 	}
@@ -40,9 +39,9 @@ func WriteDecisionTrace(cfg Config, entrant string, regime proc.Level, plan stri
 		return fmt.Errorf("arena: unknown entrant %q", entrant)
 	}
 	var pl *Plan
-	for i := range cfg.Plans {
-		if cfg.Plans[i].Name == plan {
-			pl = &cfg.Plans[i]
+	for i := range plans {
+		if plans[i].Name == plan {
+			pl = &plans[i]
 			break
 		}
 	}
@@ -52,10 +51,10 @@ func WriteDecisionTrace(cfg Config, entrant string, regime proc.Level, plan stri
 
 	var ctrl *abr.Controller
 	vr := exp.VideoRun{
-		Profile:      cfg.Devices[0],
-		Video:        cfg.Video,
-		Resolution:   cfg.Resolution,
-		FPS:          cfg.FPS,
+		Profile:      devices[0],
+		Video:        video(cfg.Quick),
+		Resolution:   startRes,
+		FPS:          startFPS,
 		Pressure:     regime,
 		Faults:       pl.Spec,
 		PlayerTweaks: tweaks,

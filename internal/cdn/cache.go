@@ -39,11 +39,6 @@ type Config struct {
 	// first miss, the default 2 keeps one-hit wonders out (a key must
 	// prove itself twice before it may displace a proven resident).
 	AdmitAfter int
-	// GhostSize bounds the doorkeeper table that tracks request counts
-	// of not-yet-admitted keys (default 4096 keys). When it overflows,
-	// the least-recently-requested ghost is forgotten and that key
-	// starts counting from zero again.
-	GhostSize int
 	// Coalesce collapses concurrent fills of the same key into one
 	// origin generation; late arrivals wait for the leader's result.
 	Coalesce bool
@@ -51,7 +46,11 @@ type Config struct {
 
 const (
 	defaultAdmitAfter = 2
-	defaultGhostSize  = 4096
+	// ghostSize bounds the doorkeeper table that tracks request counts
+	// of not-yet-admitted keys. When it overflows, the
+	// least-recently-requested ghost is forgotten and that key starts
+	// counting from zero again.
+	ghostSize = 4096
 )
 
 // Stats is a snapshot of the cache counters. Hits+Misses+Coalesced
@@ -127,13 +126,10 @@ type Cache struct {
 	stats Stats
 }
 
-// New builds a cache. Defaults: AdmitAfter 2, GhostSize 4096.
+// New builds a cache. Defaults: AdmitAfter 2.
 func New(cfg Config) *Cache {
 	if cfg.AdmitAfter <= 0 {
 		cfg.AdmitAfter = defaultAdmitAfter
-	}
-	if cfg.GhostSize <= 0 {
-		cfg.GhostSize = defaultGhostSize
 	}
 	c := &Cache{cfg: cfg, byKey: make(map[string]*list.Element), byGhost: make(map[string]*list.Element)}
 	if cfg.Coalesce {
@@ -231,7 +227,7 @@ func (c *Cache) admit(key string, body []byte, demand int) {
 }
 
 // bumpGhost records demand more requests for a non-resident key and
-// returns its count, trimming the doorkeeper to GhostSize.
+// returns its count, trimming the doorkeeper to ghostSize.
 func (c *Cache) bumpGhost(key string, demand int) int {
 	if el, ok := c.byGhost[key]; ok {
 		g := el.Value.(*ghost)
@@ -240,7 +236,7 @@ func (c *Cache) bumpGhost(key string, demand int) int {
 		return g.count
 	}
 	c.byGhost[key] = c.ghosts.PushFront(&ghost{key: key, count: demand})
-	for c.ghosts.Len() > c.cfg.GhostSize {
+	for c.ghosts.Len() > ghostSize {
 		tail := c.ghosts.Back()
 		delete(c.byGhost, tail.Value.(*ghost).key)
 		c.ghosts.Remove(tail)

@@ -110,18 +110,22 @@ func TestZeroCapacityNeverStores(t *testing.T) {
 }
 
 func TestGhostBound(t *testing.T) {
-	c := New(Config{Capacity: 1 << 20, GhostSize: 2})
-	get(t, c, "a", body('a', 10)) // ghosts: a
-	get(t, c, "b", body('b', 10)) // ghosts: b a
-	get(t, c, "c", body('c', 10)) // ghosts: c b — a forgotten
+	c := New(Config{Capacity: 1 << 20})
+	// a, then ghostSize more distinct keys: the doorkeeper holds
+	// ghostSize keys, so a is forgotten.
+	get(t, c, "a", body('a', 10))
+	for i := 0; i < ghostSize; i++ {
+		get(t, c, fmt.Sprintf("k%d", i), body('k', 10))
+	}
 	// a's count restarted: this request counts as its first again.
 	get(t, c, "a", body('a', 10))
 	if s := c.Stats(); s.Admitted != 0 {
 		t.Errorf("forgotten ghost should not admit: %+v", s)
 	}
-	// But b survived in the doorkeeper... no: pushing a back evicted b.
-	// c is still tracked; its second request admits.
-	get(t, c, "c", body('c', 10))
+	// Pushing a back forgot k0, but the newest key is still tracked:
+	// its second request admits.
+	last := fmt.Sprintf("k%d", ghostSize-1)
+	get(t, c, last, body('k', 10))
 	if s := c.Stats(); s.Admitted != 1 || s.Entries != 1 {
 		t.Errorf("tracked ghost should admit on 2nd request: %+v", s)
 	}

@@ -182,11 +182,6 @@ type Options struct {
 	DiskConfig *blockio.Config
 	// DisableZRAM forces zRAM off regardless of the profile (ablation).
 	DisableZRAM bool
-	// NoCachedApps boots without background apps.
-	NoCachedApps bool
-	// NoRecache disables the Android behavior of restarting killed
-	// cached apps (ablation).
-	NoRecache bool
 	// Telemetry enables the metrics subsystem: every layer registers
 	// its instruments in a per-device registry and a sim-clock sampler
 	// snapshots them on the configured period (default 3 s, the
@@ -209,7 +204,6 @@ func New(seed int64, p Profile, opts Options) *Device {
 		Total:         p.RAM,
 		KernelReserve: p.KernelReserve,
 		ZRAMMax:       zram,
-		ZRAMRatio:     2.8,
 	})
 	dcfg := blockio.Config{}
 	if opts.DiskConfig != nil {
@@ -264,15 +258,13 @@ func New(seed int64, p Profile, opts Options) *Device {
 	})
 	d.SurfaceFlinger = d.system.Thread("SurfaceFlinger")
 
-	if !opts.NoCachedApps {
-		for i := 0; i < p.CachedApps; i++ {
-			table.Start(proc.Spec{
-				Name:      fmt.Sprintf("bgapp%02d", i),
-				Adj:       proc.AdjCached + i,
-				Cached:    true,
-				AnonBytes: p.CachedAppAnon,
-			})
-		}
+	for i := 0; i < p.CachedApps; i++ {
+		table.Start(proc.Spec{
+			Name:      fmt.Sprintf("bgapp%02d", i),
+			Adj:       proc.AdjCached + i,
+			Cached:    true,
+			AnonBytes: p.CachedAppAnon,
+		})
 	}
 
 	// Light system background activity: Binder traffic, display
@@ -345,29 +337,27 @@ func New(seed int64, p Profile, opts Options) *Device {
 	// (§2 fn. 6): killed cached apps respawn after a while, when
 	// memory allows. This is what lets pressure states decay back
 	// toward Normal (Figure 6) — and what a pressure tool must fight.
-	if !opts.NoRecache {
-		table.OnKill(func(victim *proc.Process, _ string) {
-			if !victim.Cached {
+	table.OnKill(func(victim *proc.Process, _ string) {
+		if !victim.Cached {
+			return
+		}
+		spec := proc.Spec{
+			Name:      victim.Name + "'",
+			Adj:       victim.Adj,
+			Cached:    true,
+			AnonBytes: victim.AnonPages().Bytes(),
+		}
+		var respawn func()
+		respawn = func() {
+			// Only restart when there is comfortable headroom.
+			if float64(m.Available()) > 0.12*float64(m.Total()) {
+				table.Start(spec)
 				return
 			}
-			spec := proc.Spec{
-				Name:      victim.Name + "'",
-				Adj:       victim.Adj,
-				Cached:    true,
-				AnonBytes: victim.AnonPages().Bytes(),
-			}
-			var respawn func()
-			respawn = func() {
-				// Only restart when there is comfortable headroom.
-				if float64(m.Available()) > 0.12*float64(m.Total()) {
-					table.Start(spec)
-					return
-				}
-				clock.Schedule(10*time.Second, respawn)
-			}
-			clock.Schedule(15*time.Second+time.Duration(clock.Rand().Intn(15000))*time.Millisecond, respawn)
-		})
-	}
+			clock.Schedule(10*time.Second, respawn)
+		}
+		clock.Schedule(15*time.Second+time.Duration(clock.Rand().Intn(15000))*time.Millisecond, respawn)
+	})
 	return d
 }
 

@@ -54,14 +54,6 @@ func TestUtilizationOrdering(t *testing.T) {
 	}
 }
 
-func TestNoCachedAppsOption(t *testing.T) {
-	d := New(1, Nokia1, Options{NoCachedApps: true})
-	d.Settle(time.Second)
-	if got := d.Table.CachedCount(); got != 0 {
-		t.Errorf("cached count = %d with NoCachedApps", got)
-	}
-}
-
 func TestDisableZRAM(t *testing.T) {
 	d := New(1, Nokia1, Options{DisableZRAM: true})
 	d.Settle(time.Second)
@@ -105,28 +97,6 @@ func TestString(t *testing.T) {
 	d := New(1, Nokia1, Options{})
 	if d.String() == "" {
 		t.Error("empty String()")
-	}
-}
-
-func TestNoRecacheOption(t *testing.T) {
-	d := New(9, Nokia1, Options{NoRecache: true})
-	d.Settle(2 * time.Second)
-	victim := d.Table.Processes()
-	var cached *proc.Process
-	for _, p := range victim {
-		if p.Cached {
-			cached = p
-			break
-		}
-	}
-	if cached == nil {
-		t.Fatal("no cached processes at boot")
-	}
-	d.Table.Kill(cached, "test")
-	before := d.Table.CachedCount()
-	d.Settle(2 * time.Minute)
-	if got := d.Table.CachedCount(); got > before {
-		t.Errorf("cached count rose from %d to %d with NoRecache", before, got)
 	}
 }
 

@@ -66,9 +66,6 @@ func runJobs(o Options, jobs []VideoRun) []Result {
 		if o.Faults != nil && jobs[i].Faults == nil {
 			jobs[i].Faults = o.Faults
 		}
-		if o.Deadline > 0 && jobs[i].Deadline == 0 {
-			jobs[i].Deadline = o.Deadline
-		}
 		if o.Digest {
 			jobs[i].Digest = true
 		}
@@ -130,20 +127,6 @@ func runJobs(o Options, jobs []VideoRun) []Result {
 	}
 	wg.Wait()
 	return results
-}
-
-// RepeatParallel is Repeat across the worker pool: n runs seeded
-// baseSeed+1..baseSeed+n, results in seed order. The output is
-// byte-identical to Repeat for the same arguments.
-func RepeatParallel(o Options, cfg VideoRun, n int, baseSeed int64) []Result {
-	jobs := make([]VideoRun, n)
-	for i := range jobs {
-		c := cfg
-		//coalvet:allow seedlane documented repeat contract: seeds base+1..base+n, byte-identical to serial Repeat, pinned by digest goldens
-		c.Seed = baseSeed + int64(i) + 1
-		jobs[i] = c
-	}
-	return runJobs(o, jobs)
 }
 
 // RunGrid executes o.Runs repeats of every cell across the worker pool

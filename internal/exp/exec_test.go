@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 
@@ -10,33 +9,6 @@ import (
 	"coalqoe/internal/proc"
 	"coalqoe/internal/study"
 )
-
-// TestRepeatParallelMatchesRepeat holds the executor to its contract:
-// identical seed assignment and result ordering, so the parallel path
-// is byte-identical to the serial reference.
-func TestRepeatParallelMatchesRepeat(t *testing.T) {
-	cfg := VideoRun{
-		Profile:    device.Nokia1,
-		Video:      quickVideo(),
-		Resolution: dash.R720p,
-		FPS:        60,
-		Pressure:   proc.Moderate,
-	}
-	serial := Repeat(cfg, 4, 11)
-	parallel := RepeatParallel(Options{Parallel: 4}, cfg, 4, 11)
-	if len(serial) != len(parallel) {
-		t.Fatalf("got %d parallel results, want %d", len(parallel), len(serial))
-	}
-	for i := range serial {
-		if !reflect.DeepEqual(serial[i].Metrics, parallel[i].Metrics) {
-			t.Errorf("run %d: parallel metrics diverge from serial\nserial:   %+v\nparallel: %+v",
-				i, serial[i].Metrics, parallel[i].Metrics)
-		}
-		if serial[i].PressureReached != parallel[i].PressureReached {
-			t.Errorf("run %d: PressureReached diverges", i)
-		}
-	}
-}
 
 // TestParallelExperimentByteIdentical replays a full registered grid
 // experiment serially and across 8 workers and compares the rendered
@@ -153,12 +125,12 @@ func TestConcurrentRunAndFleet(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		RepeatParallel(Options{Parallel: 2}, VideoRun{
+		RunGrid(Options{Seed: 1, Runs: 2, Parallel: 2}, []VideoRun{{
 			Video:      quickVideo(),
 			Resolution: dash.R480p,
 			FPS:        60,
 			Pressure:   proc.Moderate,
-		}, 2, 1)
+		}})
 	}()
 	wg.Wait()
 	if fleetErr != nil {

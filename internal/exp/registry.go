@@ -43,10 +43,6 @@ type Options struct {
 	// VideoRun.Faults). The concrete windows derive from each run's seed,
 	// so parallel output stays byte-identical to serial.
 	Faults *faults.Spec
-	// Deadline, when positive, caps every launched run's simulated time
-	// (see VideoRun.Deadline): a run still going at the deadline is
-	// marked Failed instead of wedging the grid.
-	Deadline time.Duration
 	// Digest enables the event-order digest on every run the executor
 	// launches (see VideoRun.Digest). The determinism test battery uses
 	// it to assert that serial and parallel executions dispatch exactly

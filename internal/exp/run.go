@@ -246,8 +246,6 @@ func Run(cfg VideoRun) Result {
 
 // Repeat runs the experiment n times with seeds base+1..base+n and
 // returns all results. This mirrors the paper's five-run methodology.
-// It is the serial reference for RepeatParallel, which applies the same
-// seed assignment across a worker pool.
 func Repeat(cfg VideoRun, n int, baseSeed int64) []Result {
 	out := make([]Result, 0, n)
 	for i := 0; i < n; i++ {

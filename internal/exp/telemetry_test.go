@@ -97,6 +97,8 @@ func TestTelemetryByteIdenticalAcrossWorkers(t *testing.T) {
 	render := func(parallel int) map[int]string {
 		out := make(map[int]string)
 		o := Options{
+			Seed:      100,
+			Runs:      4,
 			Parallel:  parallel,
 			Telemetry: &telemetry.Config{},
 			OnTelemetry: func(run int, dump *telemetry.Dump) {
@@ -107,7 +109,7 @@ func TestTelemetryByteIdenticalAcrossWorkers(t *testing.T) {
 				out[run] = buf.String()
 			},
 		}
-		RepeatParallel(o, telemetryRun(0), 4, 100)
+		RunGrid(o, []VideoRun{telemetryRun(0)})
 		return out
 	}
 	serial := render(1)

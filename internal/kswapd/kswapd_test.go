@@ -30,7 +30,6 @@ func setup(t *testing.T, total units.Bytes) *env {
 		Total:         total,
 		KernelReserve: 100 * units.MiB,
 		ZRAMMax:       total / 4,
-		ZRAMRatio:     2.8,
 	})
 	d := blockio.New(clock, s, blockio.Config{})
 	k := New(clock, s, m, d, Config{})

@@ -36,10 +36,6 @@ type Config struct {
 	// RAM, regardless of the P estimate — the legacy minfree
 	// criterion. Default 0.15.
 	AvailCachedFrac float64
-	// FgSustainPolls is how many consecutive polls must observe
-	// critical pressure before a foreground app may be killed,
-	// mirroring lmkd's PSI stall windows. Default 15 (1.5 s).
-	FgSustainPolls int
 	// KillCooldown is the minimum gap between kills, letting the freed
 	// memory land before the next victim is chosen. Default 500ms.
 	KillCooldown time.Duration
@@ -51,9 +47,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.AvailCachedFrac <= 0 {
 		c.AvailCachedFrac = 0.15
-	}
-	if c.FgSustainPolls <= 0 {
-		c.FgSustainPolls = 15
 	}
 	if c.KillCooldown <= 0 {
 		c.KillCooldown = 500 * time.Millisecond
@@ -71,6 +64,10 @@ const (
 	// criticalThreshold is the P value at or above which foreground
 	// apps become killable.
 	criticalThreshold = 95
+	// fgSustainPolls is how many consecutive polls must observe
+	// critical pressure before a foreground app may be killed,
+	// mirroring lmkd's PSI stall windows: 15 polls, 1.5 s.
+	fgSustainPolls = 15
 	// killCPU is the CPU lmkd burns per kill (victim lookup, signal
 	// delivery, reaping): the utilization spike visible when a session
 	// crashes (Figure 14).
@@ -210,7 +207,7 @@ func (d *Daemon) poll() {
 	// Foreground (and visible) apps die only under *sustained*
 	// critical pressure — a transient P spike from one allocation
 	// burst must not kill the app the user is watching.
-	if victim.Adj <= proc.AdjVisible && d.criticalPolls < d.cfg.FgSustainPolls {
+	if victim.Adj <= proc.AdjVisible && d.criticalPolls < fgSustainPolls {
 		return
 	}
 	// The kill costs lmkd CPU before the memory comes back; under heavy

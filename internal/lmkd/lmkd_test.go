@@ -165,9 +165,9 @@ func TestMinFreeGate(t *testing.T) {
 }
 
 func TestForegroundKillRequiresSustainedPressure(t *testing.T) {
-	// A transient P spike (shorter than FgSustainPolls) must not kill
+	// A transient P spike (shorter than fgSustainPolls) must not kill
 	// the foreground app; sustained unreclaimable pressure must.
-	e := setup(t, units.GiB, Config{FgSustainPolls: 20})
+	e := setup(t, units.GiB, Config{})
 	crashed := false
 	e.table.Start(proc.Spec{Name: "video", Adj: proc.AdjForeground, AnonBytes: 30 * units.MiB,
 		OnKilled: func(string) { crashed = true }})
@@ -182,7 +182,8 @@ func TestForegroundKillRequiresSustainedPressure(t *testing.T) {
 	}
 	e.mem.SetWorkingSet("hog", mem.WorkingSet{Anon: e.mem.Anon() + e.mem.ZRAMStored()})
 
-	// Transient: pressure lasts ~1s (10 polls < 20), then relief.
+	// Transient: pressure lasts ~1s (10 polls < fgSustainPolls), then
+	// relief.
 	e.clock.RunUntil(2 * time.Second)
 	// Relief: enough resident heap freed that the minfree gate closes
 	// and the pressure window decays, without touching the full zRAM.

@@ -42,19 +42,13 @@ type Config struct {
 	// ZRAMMax is the maximum physical memory zRAM may occupy.
 	// Zero disables zRAM (anonymous pages then cannot be reclaimed).
 	ZRAMMax units.Bytes
-	// ZRAMRatio is the compression ratio (stored/physical); typical
-	// LZ4 ratios on app heaps are ~2.5–3.
-	ZRAMRatio float64
-}
-
-func (c *Config) applyDefaults() {
-	if c.ZRAMRatio <= 1 {
-		c.ZRAMRatio = 2.8
-	}
 }
 
 // Reclaim and pressure-estimate constants of the modelled kernel.
 const (
+	// zramRatio is the compression ratio (stored/physical); typical
+	// LZ4 ratios on app heaps are ~2.5–3.
+	zramRatio = 2.8
 	// pressureWindow is the sliding window for the P estimate.
 	pressureWindow = time.Second
 	// hotAnonReclaimProb is the probability that a scanned hot
@@ -128,7 +122,6 @@ type scanSample struct {
 // Memory is the physical-memory model. Not safe for concurrent use.
 type Memory struct {
 	clock *simclock.Clock
-	cfg   Config
 
 	total     units.Pages
 	free      units.Pages
@@ -172,7 +165,6 @@ type Memory struct {
 // New builds a Memory. All of the configured total except the kernel
 // reserve starts free.
 func New(clock *simclock.Clock, cfg Config) *Memory {
-	cfg.applyDefaults()
 	total := units.PagesOf(cfg.Total)
 	kernel := units.PagesOf(cfg.KernelReserve)
 	if kernel >= total {
@@ -180,7 +172,6 @@ func New(clock *simclock.Clock, cfg Config) *Memory {
 	}
 	m := &Memory{
 		clock:       clock,
-		cfg:         cfg,
 		total:       total,
 		free:        total - kernel,
 		kernel:      kernel,
@@ -218,7 +209,7 @@ func (m *Memory) ZRAMStored() units.Pages { return m.zramStored }
 
 // ZRAMPhysical returns the physical pages zRAM occupies.
 func (m *Memory) ZRAMPhysical() units.Pages {
-	return units.Pages(float64(m.zramStored)/m.cfg.ZRAMRatio + 0.5)
+	return units.Pages(float64(m.zramStored)/zramRatio + 0.5)
 }
 
 // SwapIns returns the cumulative pages swapped back in from zRAM.
@@ -472,7 +463,7 @@ func (m *Memory) SwapInAnon(p units.Pages) units.Pages {
 
 // zramRoom returns how many more logical pages zRAM can absorb.
 func (m *Memory) zramRoom() units.Pages {
-	room := units.Pages(float64(m.zramMax)*m.cfg.ZRAMRatio) - m.zramStored
+	room := units.Pages(float64(m.zramMax)*zramRatio) - m.zramStored
 	if room < 0 {
 		room = 0
 	}

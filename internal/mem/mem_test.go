@@ -17,7 +17,6 @@ func newMem(t *testing.T) (*simclock.Clock, *Memory) {
 		Total:         1 * units.GiB,
 		KernelReserve: 200 * units.MiB,
 		ZRAMMax:       256 * units.MiB,
-		ZRAMRatio:     2.8,
 	})
 	return clock, m
 }
@@ -191,12 +190,11 @@ func TestZRAMCapLimitsCompression(t *testing.T) {
 		Total:         1 * units.GiB,
 		KernelReserve: 100 * units.MiB,
 		ZRAMMax:       units.PageSize * 100, // tiny zram
-		ZRAMRatio:     2.0,
 	})
 	m.AllocAnon(units.PagesOf(500 * units.MiB))
 	res := m.ScanBatch(10000)
-	if res.AnonCompressed > 200 {
-		t.Errorf("compressed %d logical pages into a 100-page zram at 2.0x", res.AnonCompressed)
+	if res.AnonCompressed > 280 {
+		t.Errorf("compressed %d logical pages into a 100-page zram at %vx", res.AnonCompressed, zramRatio)
 	}
 	// Once full, further scans reclaim no anon.
 	m.ScanBatch(10000)
@@ -307,7 +305,6 @@ func TestAccountingInvariantProperty(t *testing.T) {
 			Total:         256 * units.MiB,
 			KernelReserve: 32 * units.MiB,
 			ZRAMMax:       64 * units.MiB,
-			ZRAMRatio:     2.5,
 		})
 		for i, op := range ops {
 			var amt units.Pages = 64

@@ -10,7 +10,6 @@ package netem
 
 import (
 	"io"
-	"math/rand"
 	"time"
 
 	"coalqoe/internal/simclock"
@@ -141,16 +140,6 @@ type Shaper struct {
 	read    int64
 	sleep   func(time.Duration)
 	now     func() time.Time
-
-	loss    float64
-	lossRTO time.Duration
-	rng     *rand.Rand
-	outages []shaperOutage
-}
-
-// shaperOutage is one scheduled dead window, relative to first read.
-type shaperOutage struct {
-	from, until time.Duration
 }
 
 // NewShaper wraps r so reads average the given rate, timed by now and
@@ -163,39 +152,7 @@ func NewShaper(r io.Reader, rate units.BitsPerSecond, now func() time.Time, slee
 	return &Shaper{r: r, rate: rate, sleep: sleep, now: now}
 }
 
-// SetLoss configures a deterministic loss model: each read suffers a
-// retransmission stall of rto with probability p, drawn from rng. The
-// generator is injected (seeded by the caller) per the globalrand rule,
-// so paired shapers can replay identical loss realizations. p <= 0
-// disables loss; rng must be non-nil when p > 0.
-func (s *Shaper) SetLoss(p float64, rto time.Duration, rng *rand.Rand) {
-	if p > maxLoss {
-		p = maxLoss
-	}
-	if p > 0 && rng == nil {
-		panic("netem: Shaper.SetLoss needs a seeded *rand.Rand when p > 0")
-	}
-	if rto <= 0 {
-		rto = lossRTO
-	}
-	s.loss, s.lossRTO, s.rng = p, rto, rng
-}
-
-// AddOutage schedules a dead window [from, from+dur), measured from the
-// shaper's first read: a read landing inside the window sleeps until it
-// ends. Windows may overlap; each is honored independently.
-func (s *Shaper) AddOutage(from, dur time.Duration) {
-	if dur <= 0 {
-		return
-	}
-	if from < 0 {
-		from = 0
-	}
-	s.outages = append(s.outages, shaperOutage{from: from, until: from + dur})
-}
-
-// Read implements io.Reader with pacing, loss stalls, and outage
-// windows.
+// Read implements io.Reader with pacing.
 func (s *Shaper) Read(p []byte) (int, error) {
 	if s.started.IsZero() {
 		s.started = s.now()
@@ -207,16 +164,6 @@ func (s *Shaper) Read(p []byte) (int, error) {
 	elapsed := s.now().Sub(s.started)
 	if due > elapsed {
 		s.sleep(due - elapsed)
-	}
-	if s.loss > 0 && s.rng.Float64() < s.loss {
-		s.sleep(s.lossRTO)
-	}
-	// An outage blocks the read until the window closes. Re-check the
-	// clock per window: the sleeps above may have crossed into one.
-	for _, o := range s.outages {
-		if at := s.now().Sub(s.started); at >= o.from && at < o.until {
-			s.sleep(o.until - at)
-		}
 	}
 	return n, err
 }

@@ -3,7 +3,6 @@ package netem
 import (
 	"bytes"
 	"io"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -186,63 +185,4 @@ func TestLinkLossDeterministic(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Errorf("same seed, different outcomes: %v vs %v", a, b)
 	}
-}
-
-func TestShaperLossStalls(t *testing.T) {
-	data := make([]byte, 100_000)
-	var slept time.Duration
-	base := time.Unix(0, 0)
-	mk := func(loss float64, seed int64) time.Duration {
-		slept = 0
-		s := NewShaper(bytes.NewReader(data), 80*units.Mbps,
-			func() time.Time { return base.Add(slept) },
-			func(d time.Duration) { slept += d })
-		if loss > 0 {
-			s.SetLoss(loss, 100*time.Millisecond, rand.New(rand.NewSource(seed)))
-		}
-		if _, err := io.Copy(io.Discard, s); err != nil {
-			t.Fatal(err)
-		}
-		return slept
-	}
-	clean := mk(0, 0)
-	lossy := mk(0.5, 1)
-	if lossy <= clean {
-		t.Errorf("lossy shaper slept %v, clean %v: loss should add stalls", lossy, clean)
-	}
-	// Identical seeds replay identical loss realizations.
-	if a, b := mk(0.5, 7), mk(0.5, 7); a != b {
-		t.Errorf("same seed, different stalls: %v vs %v", a, b)
-	}
-}
-
-func TestShaperLossNeedsRNG(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic for loss without rng")
-		}
-	}()
-	s := NewShaper(bytes.NewReader(nil), units.Mbps,
-		func() time.Time { return time.Unix(0, 0) }, func(time.Duration) {})
-	s.SetLoss(0.5, 0, nil)
-}
-
-func TestShaperOutageWindow(t *testing.T) {
-	data := make([]byte, 200_000)
-	var slept time.Duration
-	base := time.Unix(0, 0)
-	s := NewShaper(bytes.NewReader(data), 8*units.Mbps, // 1 MB/s
-		func() time.Time { return base.Add(slept) },
-		func(d time.Duration) { slept += d })
-	// 200 KB at 1 MB/s paces to ~200ms; an outage [100ms, 600ms) must
-	// hold a mid-transfer read until 600ms.
-	s.AddOutage(100*time.Millisecond, 500*time.Millisecond)
-	if _, err := io.Copy(io.Discard, s); err != nil {
-		t.Fatal(err)
-	}
-	if slept < 600*time.Millisecond {
-		t.Errorf("slept %v, want >= 600ms (outage end)", slept)
-	}
-	// Negative/zero windows are ignored.
-	s.AddOutage(-1, 0)
 }

@@ -95,14 +95,13 @@ func TestDecodeCostScaling(t *testing.T) {
 func TestBufferCapAndDrain(t *testing.T) {
 	dev := device.New(2, device.Nexus6P, device.Options{})
 	dev.Settle(2 * time.Second)
-	s := startSession(t, dev, dash.R480p, 30, 3*time.Minute, func(c *Config) {
-		c.BufferCapacity = 20 * time.Second
-	})
+	s := startSession(t, dev, dash.R480p, 30, 3*time.Minute, nil)
 	dev.Settle(40 * time.Second)
-	if got := s.BufferLevel(); got > 24*time.Second {
-		t.Errorf("buffer level %v exceeds 20s capacity", got)
+	// One 4 s segment may land past the cap.
+	if got := s.BufferLevel(); got > BufferCapacity+4*time.Second {
+		t.Errorf("buffer level %v exceeds the %v capacity", got, BufferCapacity)
 	}
-	if got := s.BufferLevel(); got < 10*time.Second {
+	if got := s.BufferLevel(); got < BufferCapacity/2 {
 		t.Errorf("buffer level %v never filled on a LAN", got)
 	}
 }
@@ -380,13 +379,14 @@ func TestMidSessionLinkCollapse(t *testing.T) {
 	dev := device.New(11, device.Nexus6P, device.Options{})
 	dev.Settle(2 * time.Second)
 	link := netem.NewLink(dev.Clock, 100*units.Mbps, 5*time.Millisecond)
-	s := startSession(t, dev, dash.R480p, 30, time.Minute, func(c *Config) {
+	s := startSession(t, dev, dash.R480p, 30, 2*time.Minute, func(c *Config) {
 		c.Link = link
-		c.BufferCapacity = 8 * time.Second
 	})
-	// Collapse the link after 10s: with only ~8s buffered the session
+	// Collapse the link after 10s: the buffer holds at most
+	// BufferCapacity of the two-minute video, and 1 Mbps cannot fetch
+	// the rest of a 2.5 Mbps stream before it drains, so the session
 	// must rebuffer rather than drop.
-	dev.Clock.Schedule(10*time.Second, func() { link.SetRate(100 * units.Kbps) })
+	dev.Clock.Schedule(10*time.Second, func() { link.SetRate(1 * units.Mbps) })
 	deadline := dev.Clock.Now() + 20*time.Minute
 	for s.Active() && dev.Clock.Now() < deadline {
 		dev.Settle(10 * time.Second)

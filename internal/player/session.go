@@ -27,8 +27,6 @@ type Config struct {
 	Link *netem.Link
 	// Rung is the starting quality.
 	Rung dash.Rung
-	// BufferCapacity caps the playback buffer; default 60s (§4.1).
-	BufferCapacity time.Duration
 	// SegmentTimeout bounds one segment-fetch attempt on the sim clock:
 	// an attempt still undelivered at the timeout is abandoned and
 	// retried after a capped exponential backoff (retryBackoff doubling
@@ -42,6 +40,10 @@ type Config struct {
 	// terminal (the seed behavior, and the paper's §4.3 reading).
 	Recovery *RecoveryPolicy
 }
+
+// BufferCapacity caps the playback buffer (§4.1). ABR controllers
+// read it as the buffer bound their rules plan against.
+const BufferCapacity = 60 * time.Second
 
 // Client pipeline constants.
 const (
@@ -85,9 +87,6 @@ func (r *RecoveryPolicy) applyDefaults() {
 }
 
 func (c *Config) applyDefaults() {
-	if c.BufferCapacity <= 0 {
-		c.BufferCapacity = 60 * time.Second
-	}
 	if c.Recovery != nil {
 		c.Recovery.applyDefaults()
 	}
@@ -507,7 +506,7 @@ func (s *Session) download() {
 	if s.nextSeg >= video.Segments() {
 		return
 	}
-	if s.BufferLevel() >= s.cfg.BufferCapacity {
+	if s.BufferLevel() >= BufferCapacity {
 		s.dev.Clock.Schedule(500*time.Millisecond, s.inEpoch(s.download))
 		return
 	}

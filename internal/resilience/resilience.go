@@ -32,11 +32,12 @@ type BudgetConfig struct {
 	// balance). Zero or negative disables the budget: Allow always
 	// grants.
 	Capacity float64
-	// RefillPerSuccess is the fraction of a token earned back per
-	// successful request (default 0.1 — ten successes buy one retry,
-	// i.e. a sustained 10% retry rate).
-	RefillPerSuccess float64
 }
+
+// refillPerSuccess is the fraction of a token earned back per
+// successful request: ten successes buy one retry, i.e. a sustained
+// 10% retry rate.
+const refillPerSuccess = 0.1
 
 // RetryBudget is a token bucket spent by retries and refilled by
 // successes. Unlike a time-based bucket it needs no clock: the budget
@@ -55,9 +56,6 @@ type RetryBudget struct {
 
 // NewRetryBudget builds a budget with a full initial balance.
 func NewRetryBudget(cfg BudgetConfig) *RetryBudget {
-	if cfg.RefillPerSuccess <= 0 {
-		cfg.RefillPerSuccess = 0.1
-	}
 	return &RetryBudget{cfg: cfg, tokens: cfg.Capacity}
 }
 
@@ -76,13 +74,13 @@ func (b *RetryBudget) Allow() bool {
 	return true
 }
 
-// OnSuccess banks RefillPerSuccess tokens, capped at Capacity.
+// OnSuccess banks refillPerSuccess tokens, capped at Capacity.
 func (b *RetryBudget) OnSuccess() {
 	if b == nil || b.cfg.Capacity <= 0 {
 		return
 	}
 	b.refills++
-	if b.tokens += b.cfg.RefillPerSuccess; b.tokens > b.cfg.Capacity {
+	if b.tokens += refillPerSuccess; b.tokens > b.cfg.Capacity {
 		b.tokens = b.cfg.Capacity
 	}
 }

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -20,18 +21,26 @@ func TestBudgetSpendAndDeny(t *testing.T) {
 }
 
 func TestBudgetRefillBySuccess(t *testing.T) {
-	b := NewRetryBudget(BudgetConfig{Capacity: 3, RefillPerSuccess: 0.5})
+	b := NewRetryBudget(BudgetConfig{Capacity: 3})
 	for i := 0; i < 3; i++ {
 		b.Allow()
 	}
 	if b.Allow() {
 		t.Fatal("budget should be empty")
 	}
-	b.OnSuccess() // 0.5 tokens: still below a whole retry
-	if b.Allow() {
-		t.Fatal("half a token granted a retry")
+	for i := 0; i < 9; i++ {
+		b.OnSuccess()
 	}
-	b.OnSuccess() // 1.0 token
+	if b.Allow() { // 0.9 tokens: still below a whole retry
+		t.Fatal("nine successes granted a retry")
+	}
+	b.OnSuccess()
+	if got := b.Tokens(); math.Abs(got-1) > 1e-9 {
+		t.Fatalf("tokens = %v after ten successes, want 1", got)
+	}
+	// Ten summed 0.1 refills land one rounding step below a whole
+	// token, so the retry is granted on the next success.
+	b.OnSuccess()
 	if !b.Allow() {
 		t.Fatal("refilled budget should grant")
 	}

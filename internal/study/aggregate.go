@@ -30,13 +30,13 @@ const (
 	// devices; quick-mode fleets fall back to the unfiltered set).
 	MinHighShareFig6 = 0.02
 
-	// DefaultExactRetain bounds the per-device summaries kept for the
+	// exactRetain bounds the per-device summaries kept for the
 	// small-panel report rows (Figures 3–4 print one line per device).
 	// Beyond it the aggregate stops retaining rows — the fleet-scale
 	// regime where only the streaming summaries remain.
-	DefaultExactRetain = 128
-	// DefaultTopK bounds the Figure 5 most-pressured-devices heap.
-	DefaultTopK = 16
+	exactRetain = 128
+	// topK bounds the Figure 5 most-pressured-devices heap.
+	topK = 16
 	// maxFailureRecords bounds the retained per-user failure reasons.
 	maxFailureRecords = 8
 
@@ -166,15 +166,8 @@ type FleetAggregate struct {
 	Failures []IndexedFailure `json:"failures"`
 }
 
-// NewFleetAggregate creates an empty aggregate. exactRetain/topK ≤ 0
-// select the defaults.
-func NewFleetAggregate(exactRetain, topK int) *FleetAggregate {
-	if exactRetain <= 0 {
-		exactRetain = DefaultExactRetain
-	}
-	if topK <= 0 {
-		topK = DefaultTopK
-	}
+// NewFleetAggregate creates an empty aggregate.
+func NewFleetAggregate() *FleetAggregate {
 	return &FleetAggregate{
 		Util:        stats.NewQuantileSketch(0, 1, utilBins, utilExactCap),
 		Trans:       newTransitionAgg(),

@@ -78,12 +78,15 @@ func TestStreamSerialVsSharded(t *testing.T) {
 
 // TestStreamCheckpointResume kills a run mid-flight (HaltAfter) and
 // resumes it; the finished aggregate must be byte-identical to an
-// uninterrupted run.
+// uninterrupted run. Shards hold 600 users and the halt lands after
+// about 400 per in-flight shard, so each of those writes a periodic
+// checkpoint (every checkpointEvery users) before its halt checkpoint.
 func TestStreamCheckpointResume(t *testing.T) {
-	pop := DefaultPopulation(600, 9)
+	const users = 4800
+	pop := DefaultPopulation(users, 9)
 	base := FleetConfig{
 		Seed: 9, Population: pop, Shards: 8, Workers: 3,
-		CheckpointEvery: 40, Runner: SyntheticRunner(),
+		Runner: SyntheticRunner(),
 	}
 
 	straight := base
@@ -95,7 +98,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 
 	killed := base
 	killed.CheckpointDir = t.TempDir()
-	killed.HaltAfter = 150
+	killed.HaltAfter = 1200
 	if agg, st, err := RunFleetStream(killed); !errors.Is(err, ErrHalted) {
 		t.Fatalf("halted run: agg=%v err=%v", agg, err)
 	} else if agg != nil {
@@ -114,8 +117,8 @@ func TestStreamCheckpointResume(t *testing.T) {
 	if st.UsersSkipped == 0 {
 		t.Error("resume re-simulated everything (no users skipped)")
 	}
-	if st.UsersRun+st.UsersSkipped != 600 {
-		t.Errorf("run %d + skipped %d != 600", st.UsersRun, st.UsersSkipped)
+	if st.UsersRun+st.UsersSkipped != users {
+		t.Errorf("run %d + skipped %d != %d", st.UsersRun, st.UsersSkipped, users)
 	}
 	if got := aggBytes(t, agg); got != want {
 		t.Error("resumed aggregate differs from uninterrupted run")
@@ -322,7 +325,7 @@ func TestAggregateMatchesLegacyFleet(t *testing.T) {
 	}
 
 	// Streaming path, folded in reverse order to exercise canonicality.
-	agg := NewFleetAggregate(0, 0)
+	agg := NewFleetAggregate()
 	for i := len(users) - 1; i >= 0; i-- {
 		u := users[i]
 		if u.ID == crashID {
@@ -436,7 +439,7 @@ func TestFig1ZeroRatingRegression(t *testing.T) {
 			}
 		}
 	}
-	agg := NewFleetAggregate(0, 0)
+	agg := NewFleetAggregate()
 	agg.foldRatings(u)
 	for _, act := range Activities {
 		if agg.RatingCounts[act][0] != 1 {
