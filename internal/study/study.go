@@ -15,6 +15,7 @@ package study
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"coalqoe/internal/device"
@@ -329,19 +330,15 @@ func analyze(log *DeviceLog, dev *device.Device, start, span time.Duration) {
 	log.Transitions = transitions(log.Samples)
 }
 
+// median returns the upper median of xs, a sample rather than the
+// interpolation stats.Median gives, and sorts xs in place. Figure 2's
+// per-device medians use this rule.
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	for i := 0; i < len(s); i++ {
-		for j := i + 1; j < len(s); j++ {
-			if s[j] < s[i] {
-				s[i], s[j] = s[j], s[i]
-			}
-		}
-	}
-	return s[len(s)/2]
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
 }
 
 // transitions extracts level-change events with dwell times from the
