@@ -47,6 +47,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"coalqoe/internal/simclock"
@@ -280,6 +281,7 @@ type Scheduler struct {
 	clock      *simclock.Clock
 	tracer     *trace.Tracer
 	coreSpeed  []float64
+	coreOrder  []int // core indices, fastest first; ties in index order
 	tick       time.Duration
 	threads    []*Thread
 	nextTID    int
@@ -352,11 +354,21 @@ func New(clock *simclock.Clock, cfg Config) *Scheduler {
 		clock:       clock,
 		tracer:      cfg.Tracer,
 		coreSpeed:   append([]float64(nil), cfg.CoreSpeeds...),
+		coreOrder:   make([]int, len(cfg.CoreSpeeds)),
 		tick:        tick,
 		running:     make([]*Thread, len(cfg.CoreSpeeds)),
 		nextRunning: make([]*Thread, len(cfg.CoreSpeeds)),
 		nextTID:     1,
 	}
+	for i := range s.coreOrder {
+		s.coreOrder[i] = i
+	}
+	// Free cores fill fastest first: on big.LITTLE parts decode lands on
+	// a big core while one is idle. The stable sort keeps homogeneous
+	// devices in index order.
+	sort.SliceStable(s.coreOrder, func(a, b int) bool {
+		return s.coreSpeed[s.coreOrder[a]] > s.coreSpeed[s.coreOrder[b]]
+	})
 	s.stepFn = s.step
 	// Ticks fire at t=0, tick, 2·tick, …: each tick retires the work of
 	// the interval that just ended, then dispatches the next interval.
@@ -737,16 +749,17 @@ func (s *Scheduler) step() {
 		rest = append(rest, t)
 	}
 	s.rest = rest
-	free := 0
+	free := 0 // index into coreOrder
 	for _, t := range rest {
-		for free < ncores && newRunning[free] != nil {
+		for free < ncores && newRunning[s.coreOrder[free]] != nil {
 			free++
 		}
 		if free >= ncores {
 			break
 		}
-		newRunning[free] = t
-		t.core = free
+		core := s.coreOrder[free]
+		newRunning[core] = t
+		t.core = core
 	}
 	s.running, s.nextRunning = newRunning, s.running
 

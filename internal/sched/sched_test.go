@@ -323,3 +323,27 @@ func TestPreferredCoreReducesMigrations(t *testing.T) {
 		t.Errorf("pinning did not reduce migrations: free=%d pinned=%d", free, pinned)
 	}
 }
+
+// TestFreeCoresFillFastestFirst: on the Nexus 6P's big.LITTLE speeds
+// (little cores 0-3, big cores 4-7), two runnable threads take big
+// cores 4 and 5 rather than little cores 0 and 1. Equal speeds keep
+// index order.
+func TestFreeCoresFillFastestFirst(t *testing.T) {
+	for _, c := range []struct {
+		speeds []float64
+		want   [2]int
+	}{
+		{[]float64{1.55, 1.55, 1.55, 1.55, 4.0, 4.0, 4.0, 4.0}, [2]int{4, 5}},
+		{[]float64{1, 1, 1, 1}, [2]int{0, 1}},
+	} {
+		clock, s, _ := newSched(t, c.speeds...)
+		a := s.Spawn("a", "app", ClassFair, 0)
+		b := s.Spawn("b", "app", ClassFair, 0)
+		a.Enqueue(50*time.Millisecond, nil)
+		b.Enqueue(50*time.Millisecond, nil)
+		clock.RunUntil(5 * time.Millisecond)
+		if got := [2]int{a.core, b.core}; got != c.want {
+			t.Errorf("speeds %v: threads on cores %v, want %v", c.speeds, got, c.want)
+		}
+	}
+}
