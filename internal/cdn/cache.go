@@ -101,7 +101,9 @@ type ghost struct {
 }
 
 // flightCall is one in-progress origin fill that late arrivals of the
-// same key can join.
+// same key can join. done is made, under the cache's mu, by the first
+// caller to join, so a fill nobody joins makes no channel; the leader
+// reads it under mu and closes it, if made, once the result is set.
 type flightCall struct {
 	done    chan struct{}
 	body    []byte
@@ -154,13 +156,17 @@ func (c *Cache) Get(key string, fill func() ([]byte, error)) ([]byte, bool, erro
 	}
 	if c.flight != nil {
 		if fc, ok := c.flight[key]; ok {
+			if fc.done == nil {
+				fc.done = make(chan struct{})
+			}
+			done := fc.done
 			fc.waiters++
 			c.stats.Coalesced++
 			c.mu.Unlock()
-			<-fc.done
+			<-done
 			return fc.body, false, fc.err
 		}
-		fc := &flightCall{done: make(chan struct{})}
+		fc := &flightCall{}
 		c.flight[key] = fc
 		c.stats.Misses++
 		c.mu.Unlock()
@@ -177,8 +183,11 @@ func (c *Cache) Get(key string, fill func() ([]byte, error)) ([]byte, bool, erro
 			// never look popular enough to admit.
 			c.admit(key, body, 1+fc.waiters)
 		}
+		done := fc.done
 		c.mu.Unlock()
-		close(fc.done)
+		if done != nil {
+			close(done)
+		}
 		return body, false, err
 	}
 	c.stats.Misses++

@@ -245,6 +245,65 @@ func TestCoalescedDemandCountsForAdmission(t *testing.T) {
 	}
 }
 
+// TestCoalescedWaitersShareBodyAndError parks N waiters on one flight
+// whose fill returns both a body and an error: every waiter gets that
+// exact body and error, and a failed fill leaves nothing behind.
+func TestCoalescedWaitersShareBodyAndError(t *testing.T) {
+	const waiters = 9
+	c := New(Config{Capacity: 1 << 20, AdmitAfter: 1, Coalesce: true})
+	boom := errors.New("origin reset mid-body")
+	partial := body('p', 32)
+	release := make(chan struct{})
+	leaderIn := make(chan struct{})
+	type result struct {
+		body []byte
+		hit  bool
+		err  error
+	}
+	results := make([]result, waiters+1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		b, hit, err := c.Get("seg", func() ([]byte, error) {
+			close(leaderIn)
+			<-release
+			return partial, boom
+		})
+		results[waiters] = result{b, hit, err}
+	}()
+	<-leaderIn
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			b, hit, err := c.Get("seg", func() ([]byte, error) {
+				t.Error("a waiter ran its own fill")
+				return nil, nil
+			})
+			results[i] = result{b, hit, err}
+		}(i)
+	}
+	for c.Waiters("seg") != waiters {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+
+	for i, r := range results {
+		if r.hit || !errors.Is(r.err, boom) || len(r.body) != len(partial) || &r.body[0] != &partial[0] {
+			t.Errorf("caller %d: hit=%v err=%v body %d bytes, want the leader's %d-byte body and %v",
+				i, r.hit, r.err, len(r.body), len(partial), boom)
+		}
+	}
+	if s := c.Stats(); s.Fills != 1 || s.Misses != 1 || s.Coalesced != waiters || s.Entries != 0 {
+		t.Errorf("stats = %+v, want fills=1 misses=1 coalesced=%d entries=0", s, waiters)
+	}
+	if n := c.Waiters("seg"); n != 0 {
+		t.Errorf("flight still has %d waiters after the fill returned", n)
+	}
+}
+
 // TestConcurrentInvariants hammers the cache from many goroutines and
 // checks the counter algebra afterwards (run with -race).
 func TestConcurrentInvariants(t *testing.T) {

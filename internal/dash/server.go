@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,6 +85,16 @@ func rungID(r Rung) string {
 // Segment bodies are read-only views of one process-wide filler
 // buffer (see synthBody), so serving a segment copies nothing, and
 // every cached body shares that buffer.
+//
+// ServeHTTP sends a segment GET straight to the segment handler,
+// without ServeMux routing, when its URL path starts with /video/ and
+// is already clean (path.Clean leaves it unchanged, so it has no "."
+// or ".." element, no "//" and no trailing "/"): for such a path the
+// mux would pick the same handler and redirect nothing. Every other request (HEAD and other methods,
+// unclean paths the mux answers with a 301, the manifest and /metrics)
+// goes through the mux. The segment handler reads each response's
+// size, Content-Length value and cache key from a table built once per
+// server, so it formats nothing per request.
 type Server struct {
 	manifest *Manifest
 	mux      *http.ServeMux
@@ -100,6 +111,8 @@ type Server struct {
 	ladderIdx map[rungKey]int
 	ids       []string
 	served    []rungCounters
+	// segs[i][seg] is segment seg's response at ladder[i].
+	segs [][]segEntry
 
 	cache    *cdn.Cache
 	chaos    *cdn.Chaos
@@ -111,6 +124,20 @@ type rungKey struct {
 	res Resolution
 	fps int
 }
+
+// segEntry is one segment's response at one rung, fixed at
+// construction. length is shared by every response that carries it,
+// so nothing may write to it; its capacity is its length, so an
+// append copies instead.
+type segEntry struct {
+	size   units.Bytes
+	length []string // Content-Length header value
+	key    string   // canonical cache key, "<repID>/<segment>"
+}
+
+// contentType is every segment response's Content-Type header value,
+// shared read-only like segEntry.length.
+var contentType = []string{"video/mp4"}
 
 // rungCounters are one representation's hot-path counters.
 type rungCounters struct {
@@ -166,6 +193,23 @@ func NewServerOpts(m *Manifest, opts ServerOptions) *Server {
 		s.ids[i] = rungID(r)
 	}
 	s.served = make([]rungCounters, len(s.ladder))
+	n := m.Video.Segments()
+	entries := make([]segEntry, len(s.ladder)*n)
+	lengths := make([]string, len(entries))
+	s.segs = make([][]segEntry, len(s.ladder))
+	for i, r := range s.ladder {
+		s.segs[i] = entries[i*n : (i+1)*n : (i+1)*n]
+		for seg := range s.segs[i] {
+			j := i*n + seg
+			size := m.Video.SegmentBytes(r, seg)
+			lengths[j] = strconv.FormatInt(int64(size), 10)
+			s.segs[i][seg] = segEntry{
+				size:   size,
+				length: lengths[j : j+1 : j+1],
+				key:    s.ids[i] + "/" + strconv.Itoa(seg),
+			}
+		}
+	}
 	s.mux.HandleFunc("GET /manifest.json", s.handleManifest)
 	s.mux.HandleFunc("GET /video/", s.handleSegment)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -176,6 +220,11 @@ func NewServerOpts(m *Manifest, opts ServerOptions) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
+	// path.Clean strips a trailing "/", so a clean path has none.
+	if p := r.URL.Path; r.Method == http.MethodGet && strings.HasPrefix(p, "/video/") && path.Clean(p) == p {
+		s.handleSegment(w, r)
+		return
+	}
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -257,7 +306,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	seg, err := strconv.Atoi(segText)
-	if err != nil || seg < 0 || seg >= s.manifest.Video.Segments() {
+	if err != nil || seg < 0 || seg >= len(s.segs[idx]) {
 		http.Error(w, "no such segment", http.StatusNotFound)
 		return
 	}
@@ -267,7 +316,12 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	// one tiny response.
 	demote := 0
 	if s.governor != nil {
-		tenant := r.Header.Get(TenantHeader)
+		// TenantHeader is canonical, so indexing the map finds what
+		// Header.Get would, without canonicalising the key again.
+		var tenant string
+		if v := r.Header[TenantHeader]; len(v) > 0 {
+			tenant = v[0]
+		}
 		if tenant == "" {
 			tenant = "anon"
 		}
@@ -314,19 +368,23 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set(ServedRungHeader, s.ids[idx])
 		}
 	}
-	size := s.manifest.Video.SegmentBytes(s.ladder[idx], seg)
+	e := &s.segs[idx][seg]
+	size := e.size
 	// Metrics count the rung actually served: under brownout the
 	// /metrics rung mix shifts visibly toward the ladder's floor.
 	rc := &s.served[idx]
 	rc.requests.Add(1)
 	rc.bytes.Add(int64(size))
-	w.Header().Set("Content-Type", "video/mp4")
-	w.Header().Set("Content-Length", strconv.FormatInt(int64(size), 10))
+	// Both keys are canonical, and both values are shared read-only
+	// slices: nothing is canonicalised or allocated per response.
+	h := w.Header()
+	h["Content-Type"] = contentType
+	h["Content-Length"] = e.length
 	var body []byte
 	if s.cache != nil {
 		// The key is canonical: "/07" and "/+7" parse to segment 7 and
 		// must share its entry, not store it again.
-		body, _, _ = s.cache.Get(s.ids[idx]+"/"+strconv.Itoa(seg), func() ([]byte, error) {
+		body, _, _ = s.cache.Get(e.key, func() ([]byte, error) {
 			if originDelay > 0 {
 				// Coalesced waiters share the leader's stall, like they
 				// share its generation: an origin slowdown is paid once.

@@ -2,9 +2,11 @@ package dash
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -243,5 +245,95 @@ func TestGovernedMetricsFamilies(t *testing.T) {
 	}
 	if metrics["dash.admit.admitted"] != 1 {
 		t.Errorf("admitted = %v, want 1", metrics["dash.admit.admitted"])
+	}
+}
+
+// TestSegmentHeadersOverHTTP sends repeated requests for every rung,
+// then repeated brownout-demoted ones, through a real HTTP server with
+// a cache and a Governor. Every response must carry the served rung's
+// Content-Length and body, Content-Type video/mp4, and X-Served-Rung
+// exactly when it was demoted; afterwards the server's shared
+// header-value slices must be as built.
+func TestSegmentHeadersOverHTTP(t *testing.T) {
+	clk := &govTestClock{t: time.Unix(1700000000, 0)}
+	g := cdn.NewGovernor(cdn.GovernorConfig{
+		BrownoutEnter: 0.2, BrownoutDemote: 2,
+		Quotas: []cdn.TenantQuota{{Name: "flood", Rate: 0.0001, Burst: 1}},
+	}, clk.now)
+	m := NewManifest(TestVideos[0], 30, 60)
+	srv := NewServerOpts(m, ServerOptions{
+		Cache:    cdn.New(cdn.Config{Capacity: 1 << 30, AdmitAfter: 1, Coalesce: true}),
+		Governor: g,
+	})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	table := func() []string {
+		var out []string
+		for _, row := range srv.segs {
+			for _, e := range row {
+				out = append(out, fmt.Sprintf("%d %q len=%d cap=%d %s", e.size, e.length, len(e.length), cap(e.length), e.key))
+			}
+		}
+		return append(out, fmt.Sprintf("%q cap=%d", contentType, cap(contentType)))
+	}
+	built := table()
+
+	check := func(idx, seg, demote int) {
+		t.Helper()
+		id := srv.ids[idx]
+		resp, err := http.Get(fmt.Sprintf("%s/video/%s/%d", ts.URL, id, seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s/%d: %d, %v", id, seg, resp.StatusCode, err)
+		}
+		served, wantRung := max(idx-demote, 0), ""
+		if served != idx {
+			wantRung = srv.ids[served]
+		}
+		size := m.Video.SegmentBytes(srv.ladder[served], seg)
+		if got := resp.Header.Get(ServedRungHeader); got != wantRung {
+			t.Errorf("GET %s/%d: %s %q, want %q", id, seg, ServedRungHeader, got, wantRung)
+		}
+		if got := resp.Header.Values("Content-Type"); len(got) != 1 || got[0] != "video/mp4" {
+			t.Errorf("GET %s/%d: Content-Type %q", id, seg, got)
+		}
+		if got := resp.Header.Values("Content-Length"); len(got) != 1 || got[0] != strconv.FormatInt(int64(size), 10) {
+			t.Errorf("GET %s/%d: Content-Length %q, want %d", id, seg, got, size)
+		}
+		if int64(len(body)) != int64(size) {
+			t.Errorf("GET %s/%d: %d-byte body, want %d", id, seg, len(body), size)
+		}
+	}
+
+	for rep := 0; rep < 2; rep++ {
+		for idx := range srv.ladder {
+			for seg := 0; seg < 2; seg++ {
+				check(idx, seg, 0)
+			}
+		}
+	}
+	// Drive the shed EWMA over the brownout threshold, as in
+	// TestGovernedServerBrownoutDemotes.
+	g.Admit("flood")
+	for i := 0; i < 40; i++ {
+		if d := g.Admit("flood"); d.Kind != cdn.Shed {
+			t.Fatalf("flood %d not shed", i)
+		}
+		g.Release()
+	}
+	for rep := 0; rep < 2; rep++ {
+		for idx := range srv.ladder {
+			check(idx, 3, 2)
+		}
+	}
+	if s := g.Stats(); !s.BrownoutActive || s.BrownoutExited != 0 {
+		t.Fatalf("brownout ended mid-test: %+v", s)
+	}
+	if got := table(); !reflect.DeepEqual(got, built) {
+		t.Error("segment table changed while serving")
 	}
 }

@@ -165,8 +165,9 @@ func TestMinFreeGate(t *testing.T) {
 }
 
 func TestForegroundKillRequiresSustainedPressure(t *testing.T) {
-	// A transient P spike (shorter than fgSustainPolls) must not kill
-	// the foreground app; sustained unreclaimable pressure must.
+	// A critical-pressure transient shorter than fgSustainPolls must
+	// not kill the foreground app; sustained unreclaimable pressure
+	// must.
 	e := setup(t, units.GiB, Config{})
 	crashed := false
 	e.table.Start(proc.Spec{Name: "video", Adj: proc.AdjForeground, AnonBytes: 30 * units.MiB,
@@ -174,23 +175,36 @@ func TestForegroundKillRequiresSustainedPressure(t *testing.T) {
 	e.clock.RunUntil(time.Second)
 
 	// Saturate zRAM with cold anon so no reclaim headroom remains,
-	// then mark everything hot: scans rotate fruitlessly, P ≈ 100 and
-	// kswapd cannot restore free memory.
+	// then mark everything hot: scans rotate fruitlessly. kswapd still
+	// frees this first allocation, so pressure settles low.
 	e.mem.AllocAnon(e.mem.Free() - 2000)
 	for i := 0; i < 64 && e.mem.ZRAMPhysical() < units.PagesOf(255*units.MiB); i++ {
 		e.mem.ScanBatch(20000)
 	}
 	e.mem.SetWorkingSet("hog", mem.WorkingSet{Anon: e.mem.Anon() + e.mem.ZRAMStored()})
-
-	// Transient: pressure lasts ~1s (10 polls < fgSustainPolls), then
-	// relief.
 	e.clock.RunUntil(2 * time.Second)
-	// Relief: enough resident heap freed that the minfree gate closes
-	// and the pressure window decays, without touching the full zRAM.
+	if p := e.mem.Pressure(); p >= criticalThreshold {
+		t.Fatalf("P = %v before the transient, want below %d", p, criticalThreshold)
+	}
+
+	// Transient: pin free memory below the foreground minfree gate
+	// with no reclaim headroom, so every poll sees P >= 95, for 12
+	// polls (1.2 s, under fgSustainPolls' 1.5 s and over the 10 polls
+	// a kill would need at fgSustainPolls = 10). Then relief: enough
+	// resident heap freed that the gate closes, without touching the
+	// full zRAM.
+	e.mem.AllocAnon(e.mem.Free() - 2000)
+	e.clock.RunUntil(2*time.Second + 1250*time.Millisecond)
+	if crashed {
+		t.Fatal("foreground killed during a sub-threshold pressure transient")
+	}
+	if p, n := e.mem.Pressure(), e.lmkd.criticalPolls; p < criticalThreshold || n != 12 {
+		t.Fatalf("transient: P = %v after %d critical polls, want >= %d after 12", p, n, criticalThreshold)
+	}
 	e.mem.FreeAnon(units.PagesOf(70 * units.MiB))
 	e.clock.RunUntil(6 * time.Second)
 	if crashed {
-		t.Fatal("foreground killed by a sub-threshold pressure transient")
+		t.Fatal("foreground killed after a sub-threshold pressure transient")
 	}
 
 	// Sustained: re-pin free memory with no reclaim headroom.

@@ -22,6 +22,7 @@
 package resilience
 
 import (
+	"math"
 	"math/rand"
 	"time"
 )
@@ -34,10 +35,10 @@ type BudgetConfig struct {
 	Capacity float64
 }
 
-// refillPerSuccess is the fraction of a token earned back per
-// successful request: ten successes buy one retry, i.e. a sustained
-// 10% retry rate.
-const refillPerSuccess = 0.1
+// refillTenthsPerSuccess is the part of a token, in tenths, earned
+// back per successful request: ten successes buy one retry, i.e. a
+// sustained 10% retry rate.
+const refillTenthsPerSuccess = 1
 
 // RetryBudget is a token bucket spent by retries and refilled by
 // successes. Unlike a time-based bucket it needs no clock: the budget
@@ -45,8 +46,11 @@ const refillPerSuccess = 0.1
 // succeeding soon stops retrying — exactly the behavior that lets a
 // storm decay instead of amplifying.
 type RetryBudget struct {
-	cfg    BudgetConfig
-	tokens float64
+	cfg BudgetConfig
+	// The balance and its cap are counted in tenths of a token, so
+	// refills add exactly: ten float 0.1 steps sum to 0.9999999999999999
+	// and would make an emptied budget wait for an eleventh success.
+	tenths, capTenths int64
 
 	// BudgetStats fields are plain counters (single-owner type).
 	spent   int64
@@ -56,7 +60,8 @@ type RetryBudget struct {
 
 // NewRetryBudget builds a budget with a full initial balance.
 func NewRetryBudget(cfg BudgetConfig) *RetryBudget {
-	return &RetryBudget{cfg: cfg, tokens: cfg.Capacity}
+	capTenths := int64(math.Round(cfg.Capacity * 10))
+	return &RetryBudget{cfg: cfg, tenths: capTenths, capTenths: capTenths}
 }
 
 // Allow consumes one retry token, reporting whether the retry may
@@ -65,28 +70,27 @@ func (b *RetryBudget) Allow() bool {
 	if b == nil || b.cfg.Capacity <= 0 {
 		return true
 	}
-	if b.tokens < 1 {
+	if b.tenths < 10 {
 		b.denied++
 		return false
 	}
-	b.tokens--
+	b.tenths -= 10
 	b.spent++
 	return true
 }
 
-// OnSuccess banks refillPerSuccess tokens, capped at Capacity.
+// OnSuccess banks refillTenthsPerSuccess tenths of a token, capped at
+// Capacity.
 func (b *RetryBudget) OnSuccess() {
 	if b == nil || b.cfg.Capacity <= 0 {
 		return
 	}
 	b.refills++
-	if b.tokens += refillPerSuccess; b.tokens > b.cfg.Capacity {
-		b.tokens = b.cfg.Capacity
-	}
+	b.tenths = min(b.tenths+refillTenthsPerSuccess, b.capTenths)
 }
 
 // Tokens returns the current balance (tests pin the arithmetic).
-func (b *RetryBudget) Tokens() float64 { return b.tokens }
+func (b *RetryBudget) Tokens() float64 { return float64(b.tenths) / 10 }
 
 // BudgetStats snapshots the budget counters.
 type BudgetStats struct {

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -35,14 +34,11 @@ func TestBudgetRefillBySuccess(t *testing.T) {
 		t.Fatal("nine successes granted a retry")
 	}
 	b.OnSuccess()
-	if got := b.Tokens(); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("tokens = %v after ten successes, want 1", got)
+	if got := b.Tokens(); got != 1 {
+		t.Fatalf("tokens = %v after ten successes, want exactly 1", got)
 	}
-	// Ten summed 0.1 refills land one rounding step below a whole
-	// token, so the retry is granted on the next success.
-	b.OnSuccess()
 	if !b.Allow() {
-		t.Fatal("refilled budget should grant")
+		t.Fatal("ten successes must buy one retry")
 	}
 	// Refills cap at capacity.
 	for i := 0; i < 100; i++ {
