@@ -88,7 +88,7 @@ func main() {
 	if *recover {
 		cfg.PlayerTweaks = func(pc *player.Config) {
 			pc.SegmentTimeout = 8 * time.Second
-			pc.Recovery = &player.RecoveryPolicy{}
+			pc.Recover = true
 		}
 	}
 	if *debug {

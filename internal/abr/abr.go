@@ -30,7 +30,9 @@ type Context struct {
 	Now time.Duration
 	// Current is the rung currently playing.
 	Current dash.Rung
-	// Ladder is the available rung set, sorted by ascending bitrate.
+	// Ladder is the available rung set, sorted by ascending bitrate
+	// (ties in manifest order). It is shared across decisions, so
+	// algorithms must not modify it.
 	Ladder []dash.Rung
 	// Buffer is the playback buffer level.
 	Buffer time.Duration
@@ -65,21 +67,17 @@ func (Fixed) Decide(ctx Context) dash.Rung { return ctx.Current }
 
 // RateBased picks the highest bitrate under a safety fraction of the
 // measured throughput — the classic throughput rule.
-type RateBased struct {
-	// Safety is the throughput fraction to use; default 0.8.
-	Safety float64
-}
+type RateBased struct{}
+
+// rateSafety is the throughput fraction RateBased spends.
+const rateSafety = 0.8
 
 // Name implements Algorithm.
 func (RateBased) Name() string { return "rate" }
 
 // Decide implements Algorithm.
-func (a RateBased) Decide(ctx Context) dash.Rung {
-	safety := a.Safety
-	if safety <= 0 {
-		safety = 0.8
-	}
-	budget := units.BitsPerSecond(safety * float64(ctx.Throughput))
+func (RateBased) Decide(ctx Context) dash.Rung {
+	budget := units.BitsPerSecond(rateSafety * float64(ctx.Throughput))
 	if ctx.Throughput == 0 {
 		return ctx.Current
 	}
@@ -94,34 +92,28 @@ func (a RateBased) Decide(ctx Context) dash.Rung {
 
 // BufferBased is BBA-style: map the buffer level linearly onto the
 // ladder between a reservoir and a cushion.
-type BufferBased struct {
-	// Reservoir is the buffer level below which the lowest rung plays;
-	// default 10s.
-	Reservoir time.Duration
-	// Cushion is the level at which the highest rung plays;
-	// default 45s.
-	Cushion time.Duration
-}
+type BufferBased struct{}
+
+const (
+	// bbaReservoir is the buffer level below which the lowest rung
+	// plays.
+	bbaReservoir = 10 * time.Second
+	// bbaCushion is the level at which the highest rung plays.
+	bbaCushion = 45 * time.Second
+)
 
 // Name implements Algorithm.
 func (BufferBased) Name() string { return "bba" }
 
 // Decide implements Algorithm.
-func (a BufferBased) Decide(ctx Context) dash.Rung {
-	reservoir, cushion := a.Reservoir, a.Cushion
-	if reservoir <= 0 {
-		reservoir = 10 * time.Second
-	}
-	if cushion <= reservoir {
-		cushion = 45 * time.Second
-	}
-	if ctx.Buffer <= reservoir {
+func (BufferBased) Decide(ctx Context) dash.Rung {
+	if ctx.Buffer <= bbaReservoir {
 		return ctx.Ladder[0]
 	}
-	if ctx.Buffer >= cushion {
+	if ctx.Buffer >= bbaCushion {
 		return ctx.Ladder[len(ctx.Ladder)-1]
 	}
-	frac := float64(ctx.Buffer-reservoir) / float64(cushion-reservoir)
+	frac := float64(ctx.Buffer-bbaReservoir) / float64(bbaCushion-bbaReservoir)
 	idx := int(frac * float64(len(ctx.Ladder)-1))
 	return ctx.Ladder[idx]
 }
@@ -129,20 +121,16 @@ func (a BufferBased) Decide(ctx Context) dash.Rung {
 // BOLA is the Lyapunov-based buffer algorithm of Spiteri et al. [35],
 // in its BOLA-BASIC form: choose the rung maximizing
 // (V·(utility + γ) − Q) / bitrate, with utility = ln(bitrate / min).
-type BOLA struct {
-	// Gamma rewards buffer growth; default 5.
-	Gamma float64
-}
+type BOLA struct{}
+
+// bolaGamma (γ) rewards buffer growth.
+const bolaGamma = 5
 
 // Name implements Algorithm.
 func (BOLA) Name() string { return "bola" }
 
 // Decide implements Algorithm.
-func (a BOLA) Decide(ctx Context) dash.Rung {
-	gamma := a.Gamma
-	if gamma <= 0 {
-		gamma = 5
-	}
+func (BOLA) Decide(ctx Context) dash.Rung {
 	minBitrate := float64(ctx.Ladder[0].Bitrate)
 	maxUtility := ln(float64(ctx.Ladder[len(ctx.Ladder)-1].Bitrate) / minBitrate)
 	// V calibrated so the top rung is chosen when the buffer is near
@@ -151,12 +139,12 @@ func (a BOLA) Decide(ctx Context) dash.Rung {
 	if cap <= 0 {
 		cap = 60
 	}
-	v := (cap - 1) / (maxUtility + gamma)
+	v := (cap - 1) / (maxUtility + bolaGamma)
 	q := ctx.Buffer.Seconds()
 	best, bestScore := ctx.Current, -1e18
 	for _, r := range ctx.Ladder {
 		utility := ln(float64(r.Bitrate) / minBitrate)
-		score := (v*(utility+gamma) - q) / (float64(r.Bitrate) / 1e6)
+		score := (v*(utility+bolaGamma) - q) / (float64(r.Bitrate) / 1e6)
 		if score > bestScore {
 			bestScore = score
 			best = r
@@ -181,16 +169,19 @@ func ln(x float64) float64 {
 type MemoryAware struct {
 	// Inner handles network adaptation; default BufferBased.
 	Inner Algorithm
-	// HoldDown is how long to stay stepped-down after a signal;
-	// default 15s.
-	HoldDown time.Duration
-	// DropTrigger additionally steps down when the recent drop rate
-	// exceeds this percentage; default 10.
-	DropTrigger float64
 
 	steps       int // current severity: each step removes fps or resolution
 	lastTrouble time.Duration
 }
+
+const (
+	// awareHoldDown is how long MemoryAware stays stepped-down after a
+	// signal.
+	awareHoldDown = 15 * time.Second
+	// awareDropTrigger additionally steps down when the recent drop
+	// rate exceeds this percentage.
+	awareDropTrigger = 10
+)
 
 // Name implements Algorithm.
 func (*MemoryAware) Name() string { return "memaware" }
@@ -201,23 +192,14 @@ func (a *MemoryAware) Decide(ctx Context) dash.Rung {
 	if inner == nil {
 		inner = BufferBased{}
 	}
-	holdDown := a.HoldDown
-	if holdDown <= 0 {
-		holdDown = 15 * time.Second
-	}
-	trigger := a.DropTrigger
-	if trigger <= 0 {
-		trigger = 10
-	}
-
 	trouble := (ctx.Signal >= proc.Moderate && ctx.SignalAge < 3*time.Second) ||
-		ctx.RecentDropRate > trigger
+		ctx.RecentDropRate > awareDropTrigger
 	if trouble {
 		a.lastTrouble = ctx.Now
 		if a.steps < 6 {
 			a.steps++
 		}
-	} else if ctx.Now-a.lastTrouble > holdDown && a.steps > 0 {
+	} else if ctx.Now-a.lastTrouble > awareHoldDown && a.steps > 0 {
 		// Quiet long enough: probe one step back up.
 		a.steps--
 		a.lastTrouble = ctx.Now
@@ -332,12 +314,15 @@ func Attach(sess *player.Session, dev *device.Device, algo Algorithm, interval t
 	// Inc calls below are free no-ops.
 	c.decisionCtr = dev.Telem.Counter("abr.decisions")
 	c.switchCtr = dev.Telem.Counter("abr.switches")
+	// The manifest ladder is fixed for the session, so it is sorted
+	// once. The sort is stable because rungs can tie on bitrate (240p60
+	// and 360p30 both run at 1 Mbps): ties keep manifest order.
+	ladder := append([]dash.Rung(nil), sess.Manifest().Rungs...)
+	sort.SliceStable(ladder, func(i, j int) bool { return ladder[i].Bitrate < ladder[j].Bitrate })
 	decide := func() {
 		if !sess.Active() {
 			return
 		}
-		ladder := append([]dash.Rung(nil), sess.Manifest().Rungs...)
-		sort.Slice(ladder, func(i, j int) bool { return ladder[i].Bitrate < ladder[j].Bitrate })
 		ctx := Context{
 			Now:            dev.Clock.Now(),
 			Current:        sess.Rung(),

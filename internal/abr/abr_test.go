@@ -140,7 +140,7 @@ func TestMemoryAwareStepsDownOnDrops(t *testing.T) {
 }
 
 func TestMemoryAwareEscalatesAndRecovers(t *testing.T) {
-	a := &MemoryAware{Inner: Fixed{}, HoldDown: 10 * time.Second}
+	a := &MemoryAware{Inner: Fixed{}}
 	// Three consecutive troubled decisions escalate.
 	var last dash.Rung
 	for i := 0; i < 3; i++ {
@@ -157,11 +157,17 @@ func TestMemoryAwareEscalatesAndRecovers(t *testing.T) {
 	if last.FPS != 24 {
 		t.Errorf("after 3 steps rung = %v, want 1080p24", last)
 	}
-	// Quiet periods step back up one at a time.
-	c := ctxWith(func(c *Context) { c.Now = time.Hour })
-	a.Decide(c)
+	// The hold-down is strict: exactly awareHoldDown of quiet after the
+	// last trouble (at 4 s) is not yet enough to step back up...
+	quiet := 4*time.Second + awareHoldDown
+	a.Decide(ctxWith(func(c *Context) { c.Now = quiet }))
+	if a.steps != 3 {
+		t.Errorf("steps = %d after exactly the hold-down, want 3", a.steps)
+	}
+	// ...just past it is, by one step.
+	a.Decide(ctxWith(func(c *Context) { c.Now = quiet + 1 }))
 	if a.steps != 2 {
-		t.Errorf("steps = %d after quiet period, want 2", a.steps)
+		t.Errorf("steps = %d just past the hold-down, want 2", a.steps)
 	}
 }
 

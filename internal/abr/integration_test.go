@@ -98,3 +98,53 @@ func TestControllerSwitchesOnSignalDelivery(t *testing.T) {
 		t.Error("no switch after Moderate signals despite the reactive path")
 	}
 }
+
+// ladderRecorder holds the current rung and keeps the ladder of its
+// first decision.
+type ladderRecorder struct{ ladder []dash.Rung }
+
+func (*ladderRecorder) Name() string { return "recorder" }
+
+func (l *ladderRecorder) Decide(ctx Context) dash.Rung {
+	if l.ladder == nil {
+		l.ladder = ctx.Ladder
+	}
+	return ctx.Current
+}
+
+// TestControllerLadderKeepsManifestOrderOnTies pins the decision
+// ladder's order: ascending bitrate, and rungs that tie on bitrate
+// (240p60 and 360p30 both run at 1 Mbps) stay in manifest order.
+func TestControllerLadderKeepsManifestOrderOnTies(t *testing.T) {
+	dev := device.New(5, device.Nexus6P, device.Options{})
+	video := dash.TestVideos[0]
+	video.Duration = 20 * time.Second
+	manifest := dash.NewManifest(video, 24, 30, 48, 60)
+	rung, _ := manifest.Rung(dash.R480p, 30)
+	sess := player.Start(player.Config{
+		Device: dev, Client: player.Firefox, Manifest: manifest, Rung: rung,
+	})
+	rec := &ladderRecorder{}
+	Attach(sess, dev, rec, 2*time.Second)
+	dev.Settle(5 * time.Second)
+	if len(rec.ladder) != len(manifest.Rungs) {
+		t.Fatalf("decision ladder has %d rungs, manifest %d", len(rec.ladder), len(manifest.Rungs))
+	}
+	pos := map[dash.Rung]int{}
+	for i, r := range manifest.Rungs {
+		pos[r] = i
+	}
+	for i := 1; i < len(rec.ladder); i++ {
+		a, b := rec.ladder[i-1], rec.ladder[i]
+		if a.Bitrate > b.Bitrate || (a.Bitrate == b.Bitrate && pos[a] > pos[b]) {
+			t.Errorf("ladder[%d..%d] = %v, %v: want ascending bitrate, ties in manifest order", i-1, i, a, b)
+		}
+	}
+	// The pair the check above is about must still tie.
+	p60, _ := dash.FindRung(rec.ladder, dash.R240p, 60)
+	p30, _ := dash.FindRung(rec.ladder, dash.R360p, 30)
+	if p60.Bitrate != p30.Bitrate || pos[p60] > pos[p30] {
+		t.Fatalf("240p60 (%v, manifest #%d) and 360p30 (%v, #%d) no longer tie in that order",
+			p60.Bitrate, pos[p60], p30.Bitrate, pos[p30])
+	}
+}

@@ -14,30 +14,24 @@ import (
 // into a single decaying risk score in [0, 1]. Both QoE-driven
 // algorithms share it: a fresh Critical signal pins risk at 1, a
 // Moderate one at ~0.65, and a quiet period lets it fade linearly over
-// HoldDown — the same probe-back-up cadence MemoryAware uses.
+// riskHoldDown — the same probe-back-up cadence MemoryAware uses.
 type riskTracker struct {
-	// HoldDown is the quiet period over which risk decays to zero
-	// after the last trouble; default 12s.
-	HoldDown time.Duration
-	// DropTrigger is the recent-drop-rate percentage treated as
-	// full-severity trouble; default 30.
-	DropTrigger float64
-
 	peak   float64
 	peakAt time.Duration
 	seen   bool
 }
 
+const (
+	// riskHoldDown is the quiet period over which risk decays to zero
+	// after the last trouble.
+	riskHoldDown = 12 * time.Second
+	// riskDropTrigger is the recent-drop-rate percentage treated as
+	// full-severity trouble.
+	riskDropTrigger = 30
+)
+
 // update ingests an observation and returns the current risk.
 func (t *riskTracker) update(ctx Context) float64 {
-	hold := t.HoldDown
-	if hold <= 0 {
-		hold = 12 * time.Second
-	}
-	trigger := t.DropTrigger
-	if trigger <= 0 {
-		trigger = 30
-	}
 	// A fresh signal is a fast-attack floor — it says pressure exists,
 	// not how badly this device decodes under it. The observed drop
 	// rate supplies the magnitude: a capable SoC shrugging off
@@ -54,7 +48,7 @@ func (t *riskTracker) update(ctx Context) float64 {
 			sev = 0.1
 		}
 	}
-	if d := ctx.RecentDropRate / trigger; d > sev {
+	if d := ctx.RecentDropRate / riskDropTrigger; d > sev {
 		sev = math.Min(d, 1)
 	}
 	// The envelope decays from the moment the peak was RAISED, not
@@ -70,11 +64,11 @@ func (t *riskTracker) update(ctx Context) float64 {
 	decayed := 0.0
 	if t.seen {
 		quiet := ctx.Now - t.peakAt
-		if quiet >= hold {
+		if quiet >= riskHoldDown {
 			t.peak = 0
 			t.seen = false
 		} else {
-			decayed = t.peak * (1 - float64(quiet)/float64(hold))
+			decayed = t.peak * (1 - float64(quiet)/float64(riskHoldDown))
 		}
 	}
 	return math.Max(sev, decayed)
@@ -132,28 +126,29 @@ func clampToLadder(r dash.Rung, ladder []dash.Rung) dash.Rung {
 // retaining the buffer-aware lookahead that distinguishes MPC from
 // myopic throughput rules.
 type MPC struct {
-	// Objective scores simulated futures; nil builds a flat-table
-	// default over the decision ladder on first use.
-	Objective *qoe.Objective
-	// Horizon is the number of future chunks simulated; default 5.
-	Horizon int
-	// Window is the throughput-sample history length; default 5.
-	Window int
-	// Safety discounts the throughput forecast; default 0.9.
-	Safety float64
-	// SegmentDuration is the chunk length assumed by the simulation;
-	// default 4s.
-	SegmentDuration time.Duration
-	// HoldBonus is added to the current rung's horizon score —
-	// hysteresis against risk-decay wiggle, in objective points over
-	// the whole horizon. Default 8; negative disables.
-	HoldBonus float64
-	// Risk tracks memory pressure; its zero value uses defaults.
-	Risk riskTracker
-
+	risk    riskTracker
 	samples []units.BitsPerSecond
-	obj     *qoe.Objective
+	// obj scores simulated futures: the flat-table objective over the
+	// decision ladder, built on first use.
+	obj *qoe.Objective
 }
+
+// chunkDuration is the chunk length both QoE-driven controllers
+// assume when they price a rung.
+const chunkDuration = 4 * time.Second
+
+const (
+	// mpcHorizon is the number of future chunks MPC simulates.
+	mpcHorizon = 5
+	// mpcWindow is the throughput-sample history length.
+	mpcWindow = 5
+	// mpcSafety discounts the throughput forecast.
+	mpcSafety = 0.9
+	// mpcHoldBonus is added to the current rung's horizon score —
+	// hysteresis against risk-decay wiggle, in objective points over
+	// the whole horizon.
+	mpcHoldBonus = 8
+)
 
 // Name implements Algorithm.
 func (*MPC) Name() string { return "mpc" }
@@ -164,37 +159,29 @@ func (a *MPC) Decide(ctx Context) dash.Rung {
 	if len(ctx.Ladder) == 0 {
 		return ctx.Current
 	}
-	window := a.Window
-	if window <= 0 {
-		window = 5
-	}
 	if t := float64(ctx.Throughput); t > 0 && !math.IsInf(t, 1) {
 		a.samples = append(a.samples, ctx.Throughput)
-		if len(a.samples) > window {
-			a.samples = a.samples[len(a.samples)-window:]
+		if len(a.samples) > mpcWindow {
+			a.samples = a.samples[len(a.samples)-mpcWindow:]
 		}
 	}
-	risk := a.Risk.update(ctx)
+	risk := a.risk.update(ctx)
 	if len(a.samples) == 0 {
 		// Nothing measured yet: hold, but never report an off-ladder
 		// rung as a decision.
 		return clampToLadder(ctx.Current, ctx.Ladder)
 	}
 	predicted := a.forecast()
-	obj := a.objective(ctx.Ladder)
-	maxLoad := maxDecodeLoad(ctx.Ladder)
-	hold := a.HoldBonus
-	switch {
-	case hold == 0 || math.IsNaN(hold) || math.IsInf(hold, 0):
-		hold = 8
-	case hold < 0:
-		hold = 0
+	if a.obj == nil {
+		a.obj = qoe.FlatObjective(ctx.Ladder)
 	}
+	obj := a.obj
+	maxLoad := maxDecodeLoad(ctx.Ladder)
 	best, bestScore := ctx.Ladder[0], math.Inf(-1)
 	for _, r := range ctx.Ladder {
-		score := a.simulate(ctx, obj, r, predicted, risk, maxLoad)
+		score := simulate(ctx, obj, r, predicted, risk, maxLoad)
 		if r == ctx.Current {
-			score += hold
+			score += mpcHoldBonus
 		}
 		// Strict > over the ascending ladder: ties pick the lowest
 		// bitrate, and a NaN score never wins.
@@ -209,39 +196,27 @@ func (a *MPC) Decide(ctx Context) dash.Rung {
 // window. The harmonic mean is the standard MPC choice: it weights
 // slow samples heavily, so one stall-inducing dip caps the forecast.
 func (a *MPC) forecast() float64 {
-	safety := a.Safety
-	if safety <= 0 || safety > 1 {
-		safety = 0.9
-	}
 	inv := 0.0
 	for _, s := range a.samples {
 		inv += 1 / float64(s)
 	}
-	return safety * float64(len(a.samples)) / inv
+	return mpcSafety * float64(len(a.samples)) / inv
 }
 
 // simulate plays the horizon holding rung r and returns the summed
 // per-chunk objective score.
-func (a *MPC) simulate(ctx Context, obj *qoe.Objective, r dash.Rung, predicted, risk, maxLoad float64) float64 {
-	horizon := a.Horizon
-	if horizon <= 0 {
-		horizon = 5
-	}
-	segDur := a.SegmentDuration
-	if segDur <= 0 {
-		segDur = 4 * time.Second
-	}
-	chunkSecs := segDur.Seconds()
+func simulate(ctx Context, obj *qoe.Objective, r dash.Rung, predicted, risk, maxLoad float64) float64 {
+	chunkSecs := chunkDuration.Seconds()
 	capSecs := ctx.BufferCapacity.Seconds()
 	bufSecs := ctx.Buffer.Seconds()
 	if bufSecs < 0 {
 		bufSecs = 0
 	}
 	delivered := 1 - risk*load01(r, maxLoad)
-	prev := qoe.Chunk{Rung: ctx.Current, Duration: segDur, Delivered: 1}
+	prev := qoe.Chunk{Rung: ctx.Current, Duration: chunkDuration, Delivered: 1}
 	startBuf := bufSecs
 	total := 0.0
-	for i := 0; i < horizon; i++ {
+	for i := 0; i < mpcHorizon; i++ {
 		dl := float64(r.Bitrate) * chunkSecs / predicted
 		rebuf := 0.0
 		if dl > bufSecs {
@@ -256,7 +231,7 @@ func (a *MPC) simulate(ctx Context, obj *qoe.Objective, r dash.Rung, predicted, 
 		}
 		c := qoe.Chunk{
 			Rung:      r,
-			Duration:  segDur,
+			Duration:  chunkDuration,
 			Rebuffer:  time.Duration(rebuf * float64(time.Second)),
 			Delivered: delivered,
 		}
@@ -266,28 +241,12 @@ func (a *MPC) simulate(ctx Context, obj *qoe.Objective, r dash.Rung, predicted, 
 	// Terminal buffer constraint: a horizon that ends with less buffer
 	// than it started has borrowed stall time from just past the
 	// lookahead. Without this charge a deep buffer absorbs any
-	// unsustainable rung's drain for `horizon` chunks and the
+	// unsustainable rung's drain for mpcHorizon chunks and the
 	// controller rides a leap-drain-dive-refill sawtooth.
 	if deficit := startBuf - bufSecs; deficit > 0 {
-		pen := obj.RebufferPenalty
-		if !(pen > 0) {
-			pen = 25
-		}
-		total -= pen * deficit
+		total -= obj.RebufferPenalty * deficit
 	}
 	return total
-}
-
-// objective returns the configured objective or a lazily built
-// flat-table default over the ladder.
-func (a *MPC) objective(ladder []dash.Rung) *qoe.Objective {
-	if a.Objective != nil {
-		return a.Objective
-	}
-	if a.obj == nil {
-		a.obj = flatObjective(ladder)
-	}
-	return a.obj
 }
 
 // QoEAware is the tuned variant of the paper's §6 memory-pressure-aware
@@ -300,23 +259,22 @@ func (a *MPC) objective(ladder []dash.Rung) *qoe.Objective {
 // while the rebuffer and energy terms keep it honest about the network
 // and the battery.
 type QoEAware struct {
-	// Objective scores candidates; nil builds a flat-table default.
-	Objective *qoe.Objective
-	// Safety discounts measured throughput; default 0.85.
-	Safety float64
-	// SegmentDuration is the assumed chunk length; default 4s.
-	SegmentDuration time.Duration
-	// HoldBonus is added to the current rung's score — hysteresis, in
-	// objective points. A switch costs the player a codec splice (its
-	// 2 s switch latency), so flapping through intermediate rungs while
-	// risk decays is worse than holding until a clearly better rung
-	// appears. Default 1; negative disables.
-	HoldBonus float64
-	// Risk tracks memory pressure; its zero value uses defaults.
-	Risk riskTracker
-
+	risk riskTracker
+	// obj scores candidates: the flat-table objective over the decision
+	// ladder, built on first use.
 	obj *qoe.Objective
 }
+
+const (
+	// qoeAwareSafety discounts measured throughput.
+	qoeAwareSafety = 0.85
+	// qoeAwareHoldBonus is added to the current rung's score —
+	// hysteresis, in objective points. A switch costs the player a
+	// codec splice (its 2 s switch latency), so flapping through
+	// intermediate rungs while risk decays is worse than holding until
+	// a clearly better rung appears.
+	qoeAwareHoldBonus = 1
+)
 
 // Name implements Algorithm.
 func (*QoEAware) Name() string { return "memopt" }
@@ -326,30 +284,18 @@ func (a *QoEAware) Decide(ctx Context) dash.Rung {
 	if len(ctx.Ladder) == 0 {
 		return ctx.Current
 	}
-	risk := a.Risk.update(ctx)
-	safety := a.Safety
-	if safety <= 0 || safety > 1 {
-		safety = 0.85
+	risk := a.risk.update(ctx)
+	if a.obj == nil {
+		a.obj = qoe.FlatObjective(ctx.Ladder)
 	}
-	hold := a.HoldBonus
-	switch {
-	case hold == 0 || math.IsNaN(hold) || math.IsInf(hold, 0):
-		hold = 1
-	case hold < 0:
-		hold = 0
-	}
-	segDur := a.SegmentDuration
-	if segDur <= 0 {
-		segDur = 4 * time.Second
-	}
-	obj := a.objective(ctx.Ladder)
+	obj := a.obj
 	maxLoad := maxDecodeLoad(ctx.Ladder)
-	chunkSecs := segDur.Seconds()
+	chunkSecs := chunkDuration.Seconds()
 	bufSecs := ctx.Buffer.Seconds()
 	if bufSecs < 0 {
 		bufSecs = 0
 	}
-	predicted := safety * float64(ctx.Throughput)
+	predicted := qoeAwareSafety * float64(ctx.Throughput)
 	if !(predicted > 0) || math.IsInf(predicted, 1) {
 		// No throughput measured yet (session start) — a quality
 		// argmax with no rebuffer term would leap to the ladder top
@@ -357,7 +303,7 @@ func (a *QoEAware) Decide(ctx Context) dash.Rung {
 		return clampToLadder(ctx.Current, ctx.Ladder)
 	}
 	const dwell = 5.0
-	cur := qoe.Chunk{Rung: ctx.Current, Duration: segDur, Delivered: 1}
+	cur := qoe.Chunk{Rung: ctx.Current, Duration: chunkDuration, Delivered: 1}
 	best, bestScore := ctx.Ladder[0], math.Inf(-1)
 	for _, r := range ctx.Ladder {
 		rebuf := 0.0
@@ -375,7 +321,7 @@ func (a *QoEAware) Decide(ctx Context) dash.Rung {
 		}
 		c := qoe.Chunk{
 			Rung:      r,
-			Duration:  segDur,
+			Duration:  chunkDuration,
 			Rebuffer:  time.Duration(rebuf * float64(time.Second)),
 			Delivered: 1 - risk*load01(r, maxLoad),
 		}
@@ -388,37 +334,11 @@ func (a *QoEAware) Decide(ctx Context) dash.Rung {
 		// horizon).
 		score := b.Total + b.Smoothness*(1-1.0/dwell)
 		if r == ctx.Current {
-			score += hold
+			score += qoeAwareHoldBonus
 		}
 		if score > bestScore {
 			best, bestScore = r, score
 		}
 	}
 	return best
-}
-
-func (a *QoEAware) objective(ladder []dash.Rung) *qoe.Objective {
-	if a.Objective != nil {
-		return a.Objective
-	}
-	if a.obj == nil {
-		a.obj = flatObjective(ladder)
-	}
-	return a.obj
-}
-
-// flatObjective builds the default decision-time objective: a flat
-// (index-free) quality table over the ladder with the arena's
-// reference weights.
-func flatObjective(ladder []dash.Rung) *qoe.Objective {
-	return &qoe.Objective{
-		Quality:           qoe.NewQualityTable(ladder, 0, dash.Travel),
-		StartupPenalty:    5,
-		RebufferPenalty:   25,
-		SmoothnessPenalty: 0.5,
-		DeliveredExponent: 2,
-		CrashPenalty:      100,
-		EnergyPenalty:     0.25,
-		Energy:            qoe.DefaultEnergy,
-	}
 }

@@ -3,7 +3,7 @@
 // a plan's windows onto the virtual device (link outages, disk stalls,
 // memory spikes); Chaos maps the same windows onto the server the
 // load generator hammers, so the crash-recovery client machinery
-// (dash.Client retries, player RecoveryPolicy) is exercised against
+// (dash.Client retries, player Config.Recover) is exercised against
 // genuine 5xx bursts and latency storms instead of simulated ones.
 //
 // Kind mapping (documented per window kind, severities reused as-is):

@@ -462,14 +462,12 @@ type Client struct {
 	waited atomic.Int64
 }
 
-// RetryPolicy bounds a fetch: Timeout caps one attempt, Attempts caps
-// how many attempts a fetch gets, and Backoff doubles between attempts
-// up to BackoffCap — the same capped-exponential shape the simulated
-// player's segment retries use, applied to the real HTTP path.
+// RetryPolicy bounds a fetch: Attempts caps how many attempts a fetch
+// gets, and Backoff doubles between attempts up to BackoffCap — the
+// same capped-exponential shape the simulated player's segment retries
+// use, applied to the real HTTP path. The client's http.Client timeout
+// bounds each attempt.
 type RetryPolicy struct {
-	// Timeout bounds one attempt; zero keeps the client's existing
-	// http.Client timeout.
-	Timeout time.Duration
 	// Attempts is the total tries per fetch (default 3).
 	Attempts int
 	// Backoff is the delay before the first retry (default 500ms); it
@@ -512,9 +510,6 @@ func (c *Client) SetRetry(p RetryPolicy, sleep func(time.Duration)) {
 	}
 	c.retry = p
 	c.sleep = sleep
-	if p.Timeout > 0 {
-		c.HTTP.Timeout = p.Timeout
-	}
 }
 
 // retryable reports whether a failed attempt is worth retrying:

@@ -20,10 +20,10 @@ import (
 //   - terminal: the seed behavior — the first kill ends playback, and
 //     the unplayed remainder counts as dropped (~100% effective drop
 //     when the kill lands early);
-//   - recover: a RecoveryPolicy relaunches the app after the cold-start
-//     cost, re-fetches the manifest, and resumes from the next segment
-//     boundary — the run reports Restarts and TimeToRecover instead of
-//     a terminal crash.
+//   - recover: player.Config.Recover relaunches the app after the
+//     cold-start cost, re-fetches the manifest, and resumes from the
+//     next segment boundary — the run reports Restarts and
+//     TimeToRecover instead of a terminal crash.
 //
 // Both variants of one profile share every CellSeed condition (the
 // tweaks are deliberately not hashed), so each pair faces identical
@@ -36,16 +36,16 @@ func init() {
 		plan := faults.MemStorm()
 		profiles := []device.Profile{device.Nokia1, device.Nexus5, device.Nexus6P}
 		modes := []struct {
-			name     string
-			recovery *player.RecoveryPolicy
+			name    string
+			recover bool
 		}{
-			{"terminal", nil},
-			{"recover", &player.RecoveryPolicy{}},
+			{"terminal", false},
+			{"recover", true},
 		}
 		var cells []VideoRun
 		for _, p := range profiles {
 			for _, m := range modes {
-				rec := m.recovery
+				rec := m.recover
 				cells = append(cells, VideoRun{
 					Profile:    p,
 					Video:      o.video(dash.Travel),
@@ -54,7 +54,7 @@ func init() {
 					Faults:   &plan,
 					PlayerTweaks: func(pc *player.Config) {
 						pc.SegmentTimeout = 8 * time.Second
-						pc.Recovery = rec
+						pc.Recover = rec
 					},
 				})
 			}

@@ -149,14 +149,14 @@ func init() {
 		rng := rand.New(rand.NewSource(o.Seed + 99))
 		r.Addf("")
 		r.Addf("survey at the paper's operating points (3%% vs 35%%):")
-		hist := qoe.DefaultDMOS.Survey(99, 3, 35, rng)
+		hist := qoe.Survey(99, 3, 35, rng)
 		for s := 1; s <= 5; s++ {
 			r.Addf("  DMOS %d: %2d participants", s, hist[s])
 		}
 		r.Addf("  rating 1-2: %d (paper: 60)   mean DMOS: %.2f", hist[1]+hist[2], qoe.MeanScore(hist))
 		r.Addf("")
 		r.Addf("survey at our measured operating points (%.0f%% vs %.0f%%):", refDrop, testDrop)
-		hist2 := qoe.DefaultDMOS.Survey(99, refDrop, testDrop, rng)
+		hist2 := qoe.Survey(99, refDrop, testDrop, rng)
 		for s := 1; s <= 5; s++ {
 			r.Addf("  DMOS %d: %2d participants", s, hist2[s])
 		}

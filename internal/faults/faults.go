@@ -6,7 +6,7 @@
 // — network outages and loss bursts, block-I/O stall spikes, and
 // background memory-spike storms that drive lmkd kills — to exercise
 // the recovery machinery a real client carries (retries, backoff,
-// crash-restart; see internal/player's RecoveryPolicy).
+// crash-restart; see internal/player's Config.Recover).
 //
 // Determinism: a plan is pure data. Windows derives the concrete
 // schedule from an explicit seed with its own generator (one lane per

@@ -232,12 +232,12 @@ func TestRecoveryRestartsAndResumes(t *testing.T) {
 	dev := device.New(14, device.Nexus6P, device.Options{})
 	dev.Settle(2 * time.Second)
 	s := startSession(t, dev, dash.R480p, 30, time.Minute, func(c *Config) {
-		c.Recovery = &RecoveryPolicy{}
+		c.Recover = true
 	})
 	dev.Settle(20 * time.Second)
 	dev.Table.Kill(dev.Table.Find(Firefox.Name), "test kill")
 	if !s.Recovering() {
-		t.Fatal("session not recovering after a kill with Recovery set")
+		t.Fatal("session not recovering after a kill with Recover set")
 	}
 	if s.Crashed() {
 		t.Fatal("recoverable kill marked as terminal crash")
@@ -272,25 +272,28 @@ func TestRecoveryRestartsAndResumes(t *testing.T) {
 }
 
 func TestRecoveryMaxRestartsTerminal(t *testing.T) {
-	// The kill after the last permitted restart is terminal.
+	// Each of the first maxRestarts kills is recovered; the next one is
+	// terminal.
 	dev := device.New(15, device.Nexus6P, device.Options{})
 	dev.Settle(2 * time.Second)
-	s := startSession(t, dev, dash.R480p, 30, 2*time.Minute, func(c *Config) {
-		c.Recovery = &RecoveryPolicy{MaxRestarts: 1}
+	s := startSession(t, dev, dash.R480p, 30, 3*time.Minute, func(c *Config) {
+		c.Recover = true
 	})
 	dev.Settle(10 * time.Second)
-	dev.Table.Kill(dev.Table.Find(Firefox.Name), "kill 1")
-	dev.Settle(20 * time.Second) // cold start + refill, playing again
-	if s.Crashed() {
-		t.Fatal("first kill should be recoverable")
+	for i := 1; i <= maxRestarts; i++ {
+		dev.Table.Kill(dev.Table.Find(Firefox.Name), "test kill")
+		dev.Settle(20 * time.Second) // cold start + refill, playing again
+		if s.Crashed() {
+			t.Fatalf("kill %d of %d should be recoverable", i, maxRestarts)
+		}
 	}
-	dev.Table.Kill(dev.Table.Find(Firefox.Name), "kill 2")
+	dev.Table.Kill(dev.Table.Find(Firefox.Name), "last kill")
 	m := s.Metrics()
 	if !m.Crashed {
-		t.Fatal("kill beyond MaxRestarts must be terminal")
+		t.Fatal("kill beyond maxRestarts must be terminal")
 	}
-	if m.Restarts != 1 {
-		t.Errorf("Restarts = %d, want 1", m.Restarts)
+	if m.Restarts != maxRestarts {
+		t.Errorf("Restarts = %d, want %d", m.Restarts, maxRestarts)
 	}
 }
 
@@ -477,7 +480,7 @@ func TestChunkTraceSkipsLostSegmentOnRecovery(t *testing.T) {
 	dev := device.New(15, device.Nexus6P, device.Options{})
 	dev.Settle(2 * time.Second)
 	s := startSession(t, dev, dash.R240p, 30, 40*time.Second, func(c *Config) {
-		c.Recovery = &RecoveryPolicy{MaxRestarts: 3}
+		c.Recover = true
 	})
 	killed := false
 	dev.Clock.Schedule(10*time.Second, func() {

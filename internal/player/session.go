@@ -34,11 +34,11 @@ type Config struct {
 	// behavior — appropriate for the paper's never-bottlenecked LAN,
 	// required reading under injected outages (see internal/faults).
 	SegmentTimeout time.Duration
-	// Recovery, when non-nil, makes an lmkd kill survivable: the app
-	// relaunches after the cold-start cost, re-fetches the manifest,
-	// and resumes from the next segment boundary. nil keeps kills
-	// terminal (the seed behavior, and the paper's §4.3 reading).
-	Recovery *RecoveryPolicy
+	// Recover makes an lmkd kill survivable: the app relaunches after
+	// the cold-start cost, re-fetches the manifest, and resumes from
+	// the next segment boundary, up to maxRestarts times. false keeps
+	// kills terminal (the seed behavior, and the paper's §4.3 reading).
+	Recover bool
 }
 
 // BufferCapacity caps the playback buffer (§4.1). ABR controllers
@@ -71,26 +71,10 @@ const (
 	// runtime init, player setup — before the manifest re-fetch and
 	// buffer refill even begin.
 	coldStart = 2 * time.Second
+	// maxRestarts caps recovery attempts under Config.Recover; the kill
+	// after the last restart is terminal (Metrics.Crashed).
+	maxRestarts = 3
 )
-
-// RecoveryPolicy configures crash-recovery playback.
-type RecoveryPolicy struct {
-	// MaxRestarts caps recovery attempts; the kill after the last
-	// restart is terminal (Metrics.Crashed). Default 3.
-	MaxRestarts int
-}
-
-func (r *RecoveryPolicy) applyDefaults() {
-	if r.MaxRestarts <= 0 {
-		r.MaxRestarts = 3
-	}
-}
-
-func (c *Config) applyDefaults() {
-	if c.Recovery != nil {
-		c.Recovery.applyDefaults()
-	}
-}
 
 // Session is a live (or finished) playback session.
 type Session struct {
@@ -203,7 +187,6 @@ type ChunkRecord struct {
 // Start launches a session on the device. Playback begins once the
 // startup buffer fills; run the device clock to make progress.
 func Start(cfg Config) *Session {
-	cfg.applyDefaults()
 	d := cfg.Device
 	link := cfg.Link
 	if link == nil {
@@ -289,7 +272,7 @@ func (s *Session) inEpoch(fn func()) func() {
 }
 
 // onKilled handles the lmkd kill: terminal crash (the seed behavior),
-// or — under a RecoveryPolicy with restarts to spare — transition into
+// or — under Config.Recover with restarts to spare — transition into
 // recovery: app relaunch after the cold-start cost, manifest re-fetch,
 // resume from the next segment boundary.
 func (s *Session) onKilled() {
@@ -313,9 +296,8 @@ func (s *Session) onKilled() {
 	}
 	resume := time.Duration(seg) * segDur
 
-	rec := s.cfg.Recovery
-	if rec == nil || s.restarts >= rec.MaxRestarts || resume >= video.Duration {
-		// No policy, out of restarts, or killed with less than one
+	if !s.cfg.Recover || s.restarts >= maxRestarts || resume >= video.Duration {
+		// No recovery, out of restarts, or killed with less than one
 		// segment left (nothing meaningful to resume into): terminal.
 		s.crashed = true
 		s.crashedAt = now

@@ -49,10 +49,9 @@ type Objective struct {
 	DeliveredExponent float64
 	// CrashPenalty is charged once if the session crashed terminally.
 	CrashPenalty float64
-	// EnergyPenalty is QoE lost per joule spent decoding + radio.
+	// EnergyPenalty is QoE lost per joule spent decoding + radio, as
+	// chunkJoules prices a chunk.
 	EnergyPenalty float64
-	// Energy models the power cost of a chunk; the zero model costs 0 J.
-	Energy EnergyModel
 }
 
 // DefaultObjective returns the arena's reference weighting for the
@@ -60,15 +59,26 @@ type Objective struct {
 // tolerate resolution loss far better than stalls), startup and
 // smoothness matter, energy is a tiebreaker.
 func DefaultObjective(ladder []dash.Rung, video dash.Video) *Objective {
+	return reference(NewQualityTable(ladder, video.Segments(), video.Genre))
+}
+
+// FlatObjective is the reference weighting over a flat (index-free)
+// quality table: the objective ABR controllers decide by, since they
+// do not know which chunk of the content comes next.
+func FlatObjective(ladder []dash.Rung) *Objective {
+	return reference(NewQualityTable(ladder, 0, dash.Travel))
+}
+
+// reference returns the reference weights over the given quality table.
+func reference(q *QualityTable) *Objective {
 	return &Objective{
-		Quality:           NewQualityTable(ladder, video.Segments(), video.Genre),
+		Quality:           q,
 		StartupPenalty:    5,
 		RebufferPenalty:   25,
 		SmoothnessPenalty: 0.5,
 		DeliveredExponent: 2,
 		CrashPenalty:      100,
 		EnergyPenalty:     0.25,
-		Energy:            DefaultEnergy,
 	}
 }
 
@@ -154,7 +164,7 @@ func (o *Objective) Compute(c Chunk, prev *Chunk) Breakdown {
 		b.Smoothness = nonneg(o.SmoothnessPenalty) *
 			math.Abs(o.pq(prev.Index, prev.Rung)-o.pq(c.Index, c.Rung))
 	}
-	b.Energy = nonneg(o.EnergyPenalty) * o.Energy.ChunkJoules(c.Rung, c.Duration)
+	b.Energy = nonneg(o.EnergyPenalty) * chunkJoules(c.Rung, c.Duration)
 	b.Total = b.Quality - b.Rebuffer - b.Smoothness - b.Energy
 	return b
 }
@@ -331,45 +341,36 @@ func (t *QualityTable) Max() float64 {
 	return t.max * m
 }
 
-// EnergyModel prices a chunk's decode and radio energy. Decode power
-// scales with pixel throughput (resolution × frame rate), after the
-// decoding-resolution energy studies in PAPERS.md; radio power is
+// The energy model prices a chunk's decode and radio energy. Decode
+// power scales with pixel throughput (resolution × frame rate), after
+// the decoding-resolution energy studies in PAPERS.md; radio power is
 // charged for the time the radio stays active to fetch the chunk's
-// bytes at RadioRate.
-type EnergyModel struct {
-	// DecodeBaseW is the floor decode/display draw in watts.
-	DecodeBaseW float64
-	// DecodePerMPix60W is the extra draw per megapixel of frame area
+// bytes at radioRate. The values approximate a mid-range handset.
+const (
+	// decodeBaseW is the floor decode/display draw in watts.
+	decodeBaseW = 0.6
+	// decodePerMPix60W is the extra draw per megapixel of frame area
 	// at 60 FPS (scaled linearly with actual FPS).
-	DecodePerMPix60W float64
-	// RadioW is the radio-active draw; RadioRate is the link rate the
-	// radio sustains while fetching (higher rate → shorter active
-	// time for the same bytes).
-	RadioW    float64
-	RadioRate units.BitsPerSecond
-}
+	decodePerMPix60W = 0.9
+	// radioW is the radio-active draw; radioRate is the link rate the
+	// radio sustains while fetching (higher rate → shorter active time
+	// for the same bytes).
+	radioW    = 1.1
+	radioRate = 25 * units.Mbps
+)
 
-// DefaultEnergy approximates a mid-range handset: ~0.6 W base decode,
-// ~0.9 W per 60fps-megapixel, ~1.1 W radio draining at 25 Mbps.
-var DefaultEnergy = EnergyModel{
-	DecodeBaseW:      0.6,
-	DecodePerMPix60W: 0.9,
-	RadioW:           1.1,
-	RadioRate:        25 * units.Mbps,
-}
-
-// ChunkJoules returns the energy cost of playing one chunk at rung r.
-func (e EnergyModel) ChunkJoules(r dash.Rung, d time.Duration) float64 {
+// chunkJoules returns the energy cost of playing one chunk at rung r.
+func chunkJoules(r dash.Rung, d time.Duration) float64 {
 	secs := clampSec(d)
 	mpix := float64(r.Resolution.Pixels()) / 1e6
 	fps := float64(r.FPS)
 	if fps < 0 {
 		fps = 0
 	}
-	decode := (nonneg(e.DecodeBaseW) + nonneg(e.DecodePerMPix60W)*mpix*fps/60) * secs
+	decode := (decodeBaseW + decodePerMPix60W*mpix*fps/60) * secs
 	radio := 0.0
-	if e.RadioRate > 0 && r.Bitrate > 0 {
-		radio = nonneg(e.RadioW) * float64(r.Bitrate) * secs / float64(e.RadioRate)
+	if r.Bitrate > 0 {
+		radio = radioW * float64(r.Bitrate) * secs / float64(radioRate)
 	}
 	return decode + radio
 }

@@ -143,7 +143,6 @@ func TestObjectiveReorderInvariance(t *testing.T) {
 		DeliveredExponent: 2,
 		CrashPenalty:      100,
 		EnergyPenalty:     0.25,
-		Energy:            DefaultEnergy,
 	}
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
@@ -227,7 +226,6 @@ func TestObjectiveHostileWeights(t *testing.T) {
 		DeliveredExponent: nan,
 		CrashPenalty:      -1,
 		EnergyPenalty:     math.Inf(1),
-		Energy:            DefaultEnergy,
 	}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {

@@ -19,26 +19,23 @@ import (
 	"coalqoe/internal/player"
 )
 
-// DMOSModel parameterizes the differential survey.
-type DMOSModel struct {
-	// Slope is the DMOS penalty per unit of drop-rate difference
-	// (fraction, 0–1). Default 8.
-	Slope float64
-	// Noise is the rater noise standard deviation. Default 0.9.
-	Noise float64
-}
+// The differential survey's rater model, calibrated against Figure 10.
+const (
+	// dmosSlope is the DMOS penalty per unit of drop-rate difference
+	// (fraction, 0–1).
+	dmosSlope = 8
+	// dmosNoise is the rater noise standard deviation.
+	dmosNoise = 0.9
+)
 
-// DefaultDMOS is calibrated against Figure 10.
-var DefaultDMOS = DMOSModel{Slope: 8, Noise: 0.9}
-
-// Rate returns one participant's DMOS (1–5) for a test clip with
+// RateDMOS returns one participant's DMOS (1–5) for a test clip with
 // testDrop percent frame drops against a reference with refDrop.
-func (m DMOSModel) Rate(refDrop, testDrop float64, rng *rand.Rand) int {
+func RateDMOS(refDrop, testDrop float64, rng *rand.Rand) int {
 	delta := (testDrop - refDrop) / 100
 	if delta < 0 {
 		delta = 0
 	}
-	s := 5 - m.Slope*delta + rng.NormFloat64()*m.Noise
+	s := 5 - dmosSlope*delta + rng.NormFloat64()*dmosNoise
 	score := int(math.Round(s))
 	if score < 1 {
 		score = 1
@@ -52,10 +49,10 @@ func (m DMOSModel) Rate(refDrop, testDrop float64, rng *rand.Rand) int {
 // Survey simulates n participants and returns the score histogram
 // (index 0 unused; 1–5 hold counts) — Figure 10's frequency
 // distribution.
-func (m DMOSModel) Survey(n int, refDrop, testDrop float64, rng *rand.Rand) [6]int {
+func Survey(n int, refDrop, testDrop float64, rng *rand.Rand) [6]int {
 	var hist [6]int
 	for i := 0; i < n; i++ {
-		hist[m.Rate(refDrop, testDrop, rng)]++
+		hist[RateDMOS(refDrop, testDrop, rng)]++
 	}
 	return hist
 }

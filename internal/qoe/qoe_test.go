@@ -13,7 +13,7 @@ func TestDMOSMatchesPaperShape(t *testing.T) {
 	// test at 35%; 60 users rated 1 or 2 and the vast majority noticed
 	// a difference (Figure 10).
 	rng := rand.New(rand.NewSource(42))
-	hist := DefaultDMOS.Survey(99, 3, 35, rng)
+	hist := Survey(99, 3, 35, rng)
 	low := hist[1] + hist[2]
 	if low < 45 || low > 75 {
 		t.Errorf("ratings of 1-2 = %d, want ~60 (paper)", low)
@@ -30,7 +30,7 @@ func TestDMOSMatchesPaperShape(t *testing.T) {
 
 func TestDMOSIdenticalClips(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	hist := DefaultDMOS.Survey(99, 3, 3, rng)
+	hist := Survey(99, 3, 3, rng)
 	if MeanScore(hist) < 4.2 {
 		t.Errorf("identical clips scored %v, want ~4.5+", MeanScore(hist))
 	}
@@ -40,7 +40,7 @@ func TestDMOSMonotoneInDegradation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	prev := 5.0
 	for _, drop := range []float64{5, 20, 40, 60} {
-		m := MeanScore(DefaultDMOS.Survey(500, 3, drop, rng))
+		m := MeanScore(Survey(500, 3, drop, rng))
 		if m > prev+0.1 {
 			t.Errorf("DMOS not monotone: %v%% drops scored %v > previous %v", drop, m, prev)
 		}
@@ -51,7 +51,7 @@ func TestDMOSMonotoneInDegradation(t *testing.T) {
 func TestDMOSBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 1000; i++ {
-		s := DefaultDMOS.Rate(0, 100, rng)
+		s := RateDMOS(0, 100, rng)
 		if s < 1 || s > 5 {
 			t.Fatalf("score %d out of bounds", s)
 		}
