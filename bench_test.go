@@ -18,7 +18,6 @@ import (
 	"coalqoe/internal/device"
 	"coalqoe/internal/exp"
 	"coalqoe/internal/proc"
-	"coalqoe/internal/telemetry"
 )
 
 // benchExperiment runs one registered experiment per benchmark
@@ -115,14 +114,13 @@ func BenchmarkFigure12Parallel(b *testing.B) { benchExperimentWorkers(b, "fig12"
 func BenchmarkTable2Serial(b *testing.B)     { benchExperimentWorkers(b, "tab2", 1) }
 func BenchmarkTable2Parallel(b *testing.B)   { benchExperimentWorkers(b, "tab2", 0) }
 
-// Telemetry overhead: one fig9-style VideoRun with instruments absent
-// (the default), wired but never sampled, and sampled at the 3s
-// SignalCapturer cadence. The disabled case is the one that must stay
-// free: every instrument call is a nil-receiver no-op, so the first
-// two rows should be within noise of each other. Recorded numbers live
-// in results/telemetry-bench.txt.
+// Telemetry overhead: one fig9-style VideoRun with telemetry off (the
+// default) and sampled at the 3s SignalCapturer cadence. The disabled
+// case is the one that must stay free: every instrument call is a
+// nil-receiver no-op. Recorded numbers live in
+// results/telemetry-bench.txt.
 
-func benchVideoRun(b *testing.B, tcfg *telemetry.Config) {
+func benchVideoRun(b *testing.B, telemetry bool) {
 	b.Helper()
 	cfg := exp.VideoRun{
 		Profile:    device.Nokia1,
@@ -130,7 +128,7 @@ func benchVideoRun(b *testing.B, tcfg *telemetry.Config) {
 		Resolution: dash.R720p,
 		FPS:        30,
 		Pressure:   proc.Moderate,
-		Telemetry:  tcfg,
+		DeviceOpts: device.Options{Telemetry: telemetry},
 	}
 	cfg.Video.Duration = 60 * time.Second
 	b.ReportAllocs()
@@ -144,10 +142,5 @@ func benchVideoRun(b *testing.B, tcfg *telemetry.Config) {
 	}
 }
 
-func BenchmarkRunTelemetryOff(b *testing.B) { benchVideoRun(b, nil) }
-func BenchmarkRunTelemetryOn3s(b *testing.B) {
-	benchVideoRun(b, &telemetry.Config{})
-}
-func BenchmarkRunTelemetryOn500ms(b *testing.B) {
-	benchVideoRun(b, &telemetry.Config{Period: 500 * time.Millisecond})
-}
+func BenchmarkRunTelemetryOff(b *testing.B)  { benchVideoRun(b, false) }
+func BenchmarkRunTelemetryOn3s(b *testing.B) { benchVideoRun(b, true) }

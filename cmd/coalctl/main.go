@@ -77,7 +77,7 @@ func main() {
 			if err := os.MkdirAll(*telemetryDir, 0o755); err != nil {
 				fatal(err)
 			}
-			opts.Telemetry = &telemetry.Config{}
+			opts.Telemetry = true
 		}
 		if args[1] == "all" {
 			for _, e := range exp.All() {

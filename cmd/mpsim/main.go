@@ -18,7 +18,6 @@ import (
 	"coalqoe/internal/device"
 	"coalqoe/internal/mempress"
 	"coalqoe/internal/proc"
-	"coalqoe/internal/telemetry"
 )
 
 // The JSON export records the whole pressure episode the way
@@ -84,11 +83,7 @@ func main() {
 		fatal(fmt.Errorf("unknown target %q", *target))
 	}
 
-	opts := device.Options{}
-	if *jsonPath != "" {
-		opts.Telemetry = &telemetry.Config{}
-	}
-	dev := device.New(*seed, profile, opts)
+	dev := device.New(*seed, profile, device.Options{Telemetry: *jsonPath != ""})
 	dev.Settle(3 * time.Second)
 	fmt.Printf("%s booted: free=%s available=%s cached=%d\n",
 		dev, dev.Mem.Free().Bytes(), dev.Mem.Available().Bytes(), dev.Table.CachedCount())

@@ -24,7 +24,6 @@ import (
 	"coalqoe/internal/faults"
 	"coalqoe/internal/player"
 	"coalqoe/internal/proc"
-	telemetrypkg "coalqoe/internal/telemetry"
 	"coalqoe/internal/trace"
 )
 
@@ -98,9 +97,7 @@ func main() {
 	// Telemetry implies KeepTrace for run 1 so the chrome trace can
 	// merge thread intervals with the counter tracks.
 	cfg.KeepTrace = *traceOut != "" || *telemetry != ""
-	if *telemetry != "" {
-		cfg.Telemetry = &telemetrypkg.Config{}
-	}
+	cfg.DeviceOpts.Telemetry = *telemetry != ""
 	results := exp.Repeat(cfg, *runs, *seed)
 	if *telemetry != "" {
 		if err := writeTelemetry(*telemetry, results); err != nil {

@@ -36,8 +36,6 @@ type Context struct {
 	Ladder []dash.Rung
 	// Buffer is the playback buffer level.
 	Buffer time.Duration
-	// BufferCapacity is the maximum buffer.
-	BufferCapacity time.Duration
 	// Throughput is the last measured download throughput.
 	Throughput units.BitsPerSecond
 	// Signal is the most recent memory-pressure signal (Normal when
@@ -135,11 +133,7 @@ func (BOLA) Decide(ctx Context) dash.Rung {
 	maxUtility := ln(float64(ctx.Ladder[len(ctx.Ladder)-1].Bitrate) / minBitrate)
 	// V calibrated so the top rung is chosen when the buffer is near
 	// capacity.
-	cap := ctx.BufferCapacity.Seconds()
-	if cap <= 0 {
-		cap = 60
-	}
-	v := (cap - 1) / (maxUtility + bolaGamma)
+	v := (player.BufferCapacity.Seconds() - 1) / (maxUtility + bolaGamma)
 	q := ctx.Buffer.Seconds()
 	best, bestScore := ctx.Current, -1e18
 	for _, r := range ctx.Ladder {
@@ -167,7 +161,7 @@ func ln(x float64) float64 {
 // the resolution. Recovery probes back up after a sustained quiet
 // period.
 type MemoryAware struct {
-	// Inner handles network adaptation; default BufferBased.
+	// Inner handles network adaptation under Normal conditions.
 	Inner Algorithm
 
 	steps       int // current severity: each step removes fps or resolution
@@ -188,10 +182,6 @@ func (*MemoryAware) Name() string { return "memaware" }
 
 // Decide implements Algorithm.
 func (a *MemoryAware) Decide(ctx Context) dash.Rung {
-	inner := a.Inner
-	if inner == nil {
-		inner = BufferBased{}
-	}
 	trouble := (ctx.Signal >= proc.Moderate && ctx.SignalAge < 3*time.Second) ||
 		ctx.RecentDropRate > awareDropTrigger
 	if trouble {
@@ -205,7 +195,7 @@ func (a *MemoryAware) Decide(ctx Context) dash.Rung {
 		a.lastTrouble = ctx.Now
 	}
 
-	want := inner.Decide(ctx)
+	want := a.Inner.Decide(ctx)
 	return a.applySteps(ctx, want)
 }
 
@@ -303,12 +293,9 @@ type Controller struct {
 }
 
 // Attach wires the algorithm to the session: decisions run every
-// interval (default 2s) and immediately on each memory-pressure signal,
+// interval and immediately on each memory-pressure signal,
 // the reactive path §6 recommends.
 func Attach(sess *player.Session, dev *device.Device, algo Algorithm, interval time.Duration) *Controller {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
 	c := &Controller{sess: sess, algo: algo, lastSignalAt: -time.Hour}
 	// Counter() is nil-safe: with telemetry off both stay nil and the
 	// Inc calls below are free no-ops.
@@ -328,7 +315,6 @@ func Attach(sess *player.Session, dev *device.Device, algo Algorithm, interval t
 			Current:        sess.Rung(),
 			Ladder:         ladder,
 			Buffer:         sess.BufferLevel(),
-			BufferCapacity: player.BufferCapacity,
 			Throughput:     sess.Throughput(),
 			Signal:         c.lastSignal,
 			SignalAge:      dev.Clock.Now() - c.lastSignalAt,

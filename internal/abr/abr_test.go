@@ -25,14 +25,13 @@ func ladder() []dash.Rung {
 func ctxWith(mod func(*Context)) Context {
 	l := ladder()
 	c := Context{
-		Now:            time.Minute,
-		Current:        l[len(l)-1],
-		Ladder:         l,
-		Buffer:         50 * time.Second,
-		BufferCapacity: 60 * time.Second,
-		Throughput:     100 * units.Mbps,
-		Signal:         proc.Normal,
-		SignalAge:      time.Hour,
+		Now:        time.Minute,
+		Current:    l[len(l)-1],
+		Ladder:     l,
+		Buffer:     50 * time.Second,
+		Throughput: 100 * units.Mbps,
+		Signal:     proc.Normal,
+		SignalAge:  time.Hour,
 	}
 	if mod != nil {
 		mod(&c)

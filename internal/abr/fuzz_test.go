@@ -53,7 +53,6 @@ func FuzzMPCDecide(f *testing.F) {
 				Current:        cur,
 				Ladder:         ladder,
 				Buffer:         time.Duration(rec[1]) * time.Second,
-				BufferCapacity: 60 * time.Second,
 				Throughput:     units.BitsPerSecond(rec[0]) * units.Mbps / 4,
 				Signal:         proc.Level(rec[2] % 5),
 				SignalAge:      time.Duration(rec[4]) * time.Second,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"coalqoe/internal/dash"
+	"coalqoe/internal/player"
 	"coalqoe/internal/proc"
 	"coalqoe/internal/qoe"
 	"coalqoe/internal/units"
@@ -207,7 +208,7 @@ func (a *MPC) forecast() float64 {
 // per-chunk objective score.
 func simulate(ctx Context, obj *qoe.Objective, r dash.Rung, predicted, risk, maxLoad float64) float64 {
 	chunkSecs := chunkDuration.Seconds()
-	capSecs := ctx.BufferCapacity.Seconds()
+	capSecs := player.BufferCapacity.Seconds()
 	bufSecs := ctx.Buffer.Seconds()
 	if bufSecs < 0 {
 		bufSecs = 0
@@ -226,7 +227,7 @@ func simulate(ctx Context, obj *qoe.Objective, r dash.Rung, predicted, risk, max
 			bufSecs -= dl
 		}
 		bufSecs += chunkSecs
-		if capSecs > 0 && bufSecs > capSecs {
+		if bufSecs > capSecs {
 			bufSecs = capSecs
 		}
 		c := qoe.Chunk{

@@ -10,7 +10,6 @@ import (
 	"coalqoe/internal/exp"
 	"coalqoe/internal/player"
 	"coalqoe/internal/proc"
-	"coalqoe/internal/telemetry"
 	"coalqoe/internal/trace"
 )
 
@@ -59,7 +58,7 @@ func WriteDecisionTrace(cfg Config, entrant string, regime proc.Level, plan stri
 		Faults:       pl.Spec,
 		PlayerTweaks: tweaks,
 		KeepTrace:    true,
-		Telemetry:    &telemetry.Config{},
+		DeviceOpts:   device.Options{Telemetry: true},
 		OnSession: func(s *player.Session, dev *device.Device) {
 			ctrl = abr.Attach(s, dev, ent.New(), 2*time.Second)
 			ctrl.RecordDecisions = true

@@ -184,10 +184,9 @@ type Options struct {
 	DisableZRAM bool
 	// Telemetry enables the metrics subsystem: every layer registers
 	// its instruments in a per-device registry and a sim-clock sampler
-	// snapshots them on the configured period (default 3 s, the
-	// SignalCapturer cadence). Nil keeps telemetry off — the free
-	// default.
-	Telemetry *telemetry.Config
+	// snapshots them every telemetry.Period (3 s, the SignalCapturer
+	// cadence). False keeps telemetry off — the free default.
+	Telemetry bool
 }
 
 // New assembles a device from a profile. seed determines all stochastic
@@ -235,14 +234,14 @@ func New(seed int64, p Profile, opts Options) *Device {
 		Table:   table,
 	}
 
-	if opts.Telemetry != nil {
+	if opts.Telemetry {
 		d.Telem = telemetry.NewRegistry()
 		m.Instrument(d.Telem)
 		k.Instrument(d.Telem)
 		lk.Instrument(d.Telem)
 		disk.Instrument(d.Telem)
 		s.Instrument(d.Telem)
-		d.Sampler = telemetry.NewSampler(clock, d.Telem, *opts.Telemetry)
+		d.Sampler = telemetry.NewSampler(clock, d.Telem)
 	}
 
 	// Boot the baseline system processes.

@@ -16,7 +16,6 @@ import (
 	"coalqoe/internal/device"
 	"coalqoe/internal/faults"
 	"coalqoe/internal/proc"
-	"coalqoe/internal/telemetry"
 )
 
 // The event-order digest oracle.
@@ -97,7 +96,7 @@ func digestCells() map[string]VideoRun {
 		"nokia1-720p30-moderate-telemetry": {
 			Profile: device.Nokia1, Video: quickVideo,
 			Resolution: dash.R720p, FPS: 30, Pressure: proc.Moderate,
-			Telemetry: &telemetry.Config{},
+			DeviceOpts: device.Options{Telemetry: true},
 		},
 		"nokia1-720p30-moderate-memstorm": {
 			Profile: device.Nokia1, Video: quickVideo,

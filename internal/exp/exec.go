@@ -56,12 +56,12 @@ func runSafe(cfg VideoRun) (res Result) {
 }
 
 // runJobs executes the fully-seeded runs across the worker pool and
-// returns results in input order. With one worker (or one job) it
-// degenerates to the plain serial loop.
+// returns results in input order. A pool of one worker runs the jobs
+// serially, in input order.
 func runJobs(o Options, jobs []VideoRun) []Result {
 	for i := range jobs {
-		if o.Telemetry != nil && jobs[i].Telemetry == nil {
-			jobs[i].Telemetry = o.Telemetry
+		if o.Telemetry {
+			jobs[i].DeviceOpts.Telemetry = true
 		}
 		if o.Faults != nil && jobs[i].Faults == nil {
 			jobs[i].Faults = o.Faults
@@ -83,23 +83,6 @@ func runJobs(o Options, jobs []VideoRun) []Result {
 			o.Progress(ProgressEvent{Started: started, Done: done, Total: len(jobs)})
 		}
 	}
-	deliver := func(i int, r Result) {
-		if o.OnTelemetry != nil && r.Telemetry != nil {
-			o.OnTelemetry(i, r.Telemetry)
-		}
-	}
-
-	if workers <= 1 {
-		for i, cfg := range jobs {
-			started++
-			emit()
-			results[i] = runSafe(cfg)
-			done++
-			emit()
-			deliver(i, results[i])
-		}
-		return results
-	}
 
 	var next int64 = -1
 	var wg sync.WaitGroup
@@ -120,7 +103,9 @@ func runJobs(o Options, jobs []VideoRun) []Result {
 				mu.Lock()
 				done++
 				emit()
-				deliver(i, results[i])
+				if o.OnTelemetry != nil && results[i].Telemetry != nil {
+					o.OnTelemetry(i, results[i].Telemetry)
+				}
 				mu.Unlock()
 			}
 		}()

@@ -102,7 +102,7 @@ func TestFaultedGridByteIdentical(t *testing.T) {
 		csvs := make(map[int]string)
 		opts := Options{
 			Quick: true, Seed: 3, Parallel: par,
-			Telemetry: &telemetry.Config{},
+			Telemetry: true,
 			OnTelemetry: func(run int, dump *telemetry.Dump) {
 				var b strings.Builder
 				if err := dump.WriteCSV(&b); err != nil {

@@ -8,7 +8,6 @@ import (
 	"coalqoe/internal/device"
 	"coalqoe/internal/faults"
 	"coalqoe/internal/proc"
-	"coalqoe/internal/telemetry"
 )
 
 // Metamorphic determinism battery.
@@ -82,7 +81,7 @@ func TestMetamorphicTelemetryOnVsOff(t *testing.T) {
 	for _, id := range metamorphicExperiments {
 		assertSameReport(t, id, "telemetry off vs on",
 			reportBytes(t, id, Options{Quick: true, Seed: 21}),
-			reportBytes(t, id, Options{Quick: true, Seed: 21, Telemetry: &telemetry.Config{}}))
+			reportBytes(t, id, Options{Quick: true, Seed: 21, Telemetry: true}))
 	}
 }
 

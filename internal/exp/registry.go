@@ -28,10 +28,10 @@ type Options struct {
 	// complete. Callbacks may fire from worker goroutines, serialized by
 	// the executor; keep them fast.
 	Progress func(ProgressEvent)
-	// Telemetry, when non-nil, enables the metrics sampler on every run
-	// the executor launches (see VideoRun.Telemetry). The dumps are
-	// delivered through OnTelemetry.
-	Telemetry *telemetry.Config
+	// Telemetry enables the metrics sampler on every run the executor
+	// launches (see device.Options.Telemetry). The dumps are delivered
+	// through OnTelemetry.
+	Telemetry bool
 	// OnTelemetry receives each run's telemetry dump together with its
 	// batch index (input order, so index k is always the same run
 	// regardless of worker count). Like Progress, callbacks may fire

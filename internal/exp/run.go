@@ -56,12 +56,6 @@ type VideoRun struct {
 	// heavier than its Metrics, and large grids would otherwise hold
 	// every simulated device of every repeat alive simultaneously.
 	KeepDevice bool
-	// Telemetry, when non-nil, attaches a metrics registry and sim-clock
-	// sampler to the device (see internal/telemetry) and returns the
-	// sampled series in Result.Telemetry. nil keeps the instruments
-	// disabled — the zero-cost default. Sampling only reads simulator
-	// state, so enabling it never changes the run's outcome.
-	Telemetry *telemetry.Config
 	// Faults, when non-nil, materializes the plan into impairment
 	// windows (seeded by the run's Seed, so repeats differ but replays
 	// don't) and injects them over the playback horizon. nil keeps the
@@ -121,8 +115,8 @@ type Result struct {
 	// PressureReached reports whether the target regime was achieved
 	// before the timeout.
 	PressureReached bool
-	// Telemetry holds the sampled series when the run was configured
-	// with a Telemetry config; nil otherwise. It is plain data (no
+	// Telemetry holds the sampled series when the run's DeviceOpts
+	// enabled telemetry; nil otherwise. It is plain data (no
 	// device or session references), so retaining it across a grid is
 	// cheap.
 	Telemetry *telemetry.Dump
@@ -150,9 +144,6 @@ type Result struct {
 // device for trace-level queries.
 func Run(cfg VideoRun) Result {
 	cfg.applyDefaults()
-	if cfg.Telemetry != nil {
-		cfg.DeviceOpts.Telemetry = cfg.Telemetry
-	}
 	dev := device.New(cfg.Seed, cfg.Profile, cfg.DeviceOpts)
 	if cfg.Digest {
 		// Enabled before the first Settle, so the digest covers every

@@ -224,13 +224,6 @@ func init() {
 	})
 }
 
-func ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
 // ratioStr renders a/b, degenerating gracefully when the baseline is 0.
 func ratioStr(a, b float64) string {
 	if b == 0 {

@@ -19,7 +19,7 @@ func telemetryRun(seed int64) VideoRun {
 		Resolution: dash.R360p,
 		FPS:        30,
 		Pressure:   proc.Normal,
-		Telemetry:  &telemetry.Config{},
+		DeviceOpts: device.Options{Telemetry: true},
 	}
 }
 
@@ -27,7 +27,10 @@ func TestRunCollectsTelemetry(t *testing.T) {
 	res := Run(telemetryRun(1))
 	dump := res.Telemetry
 	if dump == nil {
-		t.Fatal("Telemetry config set but no dump returned")
+		t.Fatal("telemetry enabled but no dump returned")
+	}
+	if dump.Period != telemetry.Period {
+		t.Errorf("dump period = %v, want %v", dump.Period, telemetry.Period)
 	}
 	if res.Device != nil || res.Session != nil {
 		t.Error("telemetry must not force device retention")
@@ -51,6 +54,15 @@ func TestRunCollectsTelemetry(t *testing.T) {
 	// The run lasts well past one 3s period plus the edge sample.
 	if s := dump.Find("mem.free_pages"); s != nil && len(s.Times) < 3 {
 		t.Errorf("mem.free_pages has only %d samples", len(s.Times))
+	}
+	// Periodic samples land on the SignalCapturer grid; only the final
+	// edge sample (taken at run end) may fall between ticks.
+	for _, s := range dump.Series {
+		for _, at := range s.Times[:len(s.Times)-1] {
+			if at%telemetry.Period != 0 {
+				t.Fatalf("series %q sampled at %v, off the %v grid", s.Name, at, telemetry.Period)
+			}
+		}
 	}
 	// Series must be sorted by name for deterministic emission.
 	for i := 1; i < len(dump.Series); i++ {
@@ -81,7 +93,7 @@ func TestRunCollectsTelemetry(t *testing.T) {
 func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 	on := telemetryRun(7)
 	off := on
-	off.Telemetry = nil
+	off.DeviceOpts.Telemetry = false
 	won, woff := Run(on), Run(off)
 	if !reflect.DeepEqual(won.Metrics, woff.Metrics) {
 		t.Fatalf("metrics differ with telemetry on:\non:  %+v\noff: %+v",
@@ -100,7 +112,7 @@ func TestTelemetryByteIdenticalAcrossWorkers(t *testing.T) {
 			Seed:      100,
 			Runs:      4,
 			Parallel:  parallel,
-			Telemetry: &telemetry.Config{},
+			Telemetry: true,
 			OnTelemetry: func(run int, dump *telemetry.Dump) {
 				var buf bytes.Buffer
 				if err := dump.WriteCSV(&buf); err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"coalqoe/internal/device"
 	"coalqoe/internal/netem"
-	"coalqoe/internal/telemetry"
 	"coalqoe/internal/units"
 )
 
@@ -94,7 +93,7 @@ func TestKindString(t *testing.T) {
 }
 
 func TestInjectorDrivesLinkAndDisk(t *testing.T) {
-	dev := device.New(1, device.Nokia1, device.Options{Telemetry: &telemetry.Config{}})
+	dev := device.New(1, device.Nokia1, device.Options{Telemetry: true})
 	link := netem.LAN(dev.Clock)
 	inj := Attach(dev, link, []Window{
 		{Kind: NetLoss, Start: 1 * time.Second, Duration: 2 * time.Second, Severity: 0.3},
@@ -164,7 +163,7 @@ func TestInjectorMemSpikeSpawnsAndExits(t *testing.T) {
 }
 
 func TestInjectorTelemetry(t *testing.T) {
-	dev := device.New(1, device.Nokia1, device.Options{Telemetry: &telemetry.Config{}})
+	dev := device.New(1, device.Nokia1, device.Options{Telemetry: true})
 	link := netem.LAN(dev.Clock)
 	inj := Attach(dev, link, []Window{
 		{Kind: NetLoss, Start: time.Second, Duration: time.Second, Severity: 0.2},

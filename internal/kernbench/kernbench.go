@@ -231,7 +231,7 @@ func TelemetrySample(b *testing.B) {
 	} {
 		reg.SampleFunc(name, func() float64 { return 1.25 })
 	}
-	s := telemetry.NewSampler(c, reg, telemetry.Config{})
+	s := telemetry.NewSampler(c, reg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -23,32 +23,27 @@ type Applicator struct {
 	reached bool
 	stopped bool
 
-	// StepBytes is allocated per growth step (default 8 MiB).
-	StepBytes units.Bytes
-	// StepInterval is the growth cadence (default 50ms).
-	StepInterval time.Duration
-	// TouchBytesPerSec is how fast the tool walks its allocation while
-	// holding (default 48 MiB/s). Touching compressed pages swaps them
-	// back in from zRAM, which keeps the reclaim path permanently busy
-	// — without this, the kernel would quietly compress the whole
-	// balloon and the pressure would evaporate.
-	TouchBytesPerSec units.Bytes
-
 	onReached func()
 }
+
+const (
+	// stepBytes is allocated per growth step.
+	stepBytes = 8 * units.MiB
+	// stepInterval is the growth cadence.
+	stepInterval = 50 * time.Millisecond
+	// touchBytesPerSec is how fast the tool walks its allocation while
+	// holding: 120 MiB/s. Touching compressed pages swaps them back in
+	// from zRAM, which keeps the reclaim path permanently busy —
+	// without this, the kernel would quietly compress the whole
+	// balloon and the pressure would evaporate.
+	touchBytesPerSec = 120 * units.MiB
+)
 
 // Apply starts the balloon toward the target level. onReached (may be
 // nil) fires once when the device first reports a level at or above the
 // target. Applying Normal returns an inert applicator.
 func Apply(d *device.Device, target proc.Level, onReached func()) *Applicator {
-	a := &Applicator{
-		dev:              d,
-		target:           target,
-		onReached:        onReached,
-		StepBytes:        8 * units.MiB,
-		StepInterval:     50 * time.Millisecond,
-		TouchBytesPerSec: 120 * units.MiB,
-	}
+	a := &Applicator{dev: d, target: target, onReached: onReached}
 	if target == proc.Normal {
 		a.reached = true
 		if onReached != nil {
@@ -83,14 +78,14 @@ func Apply(d *device.Device, target proc.Level, onReached func()) *Applicator {
 				}
 			}
 			// Hold: keep checking in case the level decays.
-			d.Clock.Schedule(a.StepInterval*4, step)
+			d.Clock.Schedule(stepInterval*4, step)
 			return
 		}
-		a.balloon.GrowAnon(a.StepBytes, func() {
-			d.Clock.Schedule(a.StepInterval, step)
+		a.balloon.GrowAnon(stepBytes, func() {
+			d.Clock.Schedule(stepInterval, step)
 		})
 	}
-	d.Clock.Schedule(a.StepInterval, step)
+	d.Clock.Schedule(stepInterval, step)
 
 	// Reallocation cycle: the tool periodically frees and re-allocates
 	// a slice of the balloon (page-pool recycling in the real app).
@@ -115,7 +110,7 @@ func Apply(d *device.Device, target proc.Level, onReached func()) *Applicator {
 		if a.stopped || a.balloon.Dead() {
 			return
 		}
-		touch := units.PagesOf(units.Bytes(float64(a.TouchBytesPerSec) * touchInterval.Seconds()))
+		touch := units.PagesOf(units.Bytes(float64(touchBytesPerSec) * touchInterval.Seconds()))
 		compressed := d.Mem.AnonCompressedFraction()
 		swapin := units.Pages(float64(touch) * compressed)
 		if swapin <= 0 {

@@ -7,38 +7,16 @@ import (
 	"coalqoe/internal/simclock"
 )
 
-// DefaultPeriod is the sampling cadence when Config.Period is zero:
-// the paper's SignalCapturer samples /proc/meminfo and /proc/vmstat
-// every 3 s in the MP-Simulator experiments (§4.1).
-const DefaultPeriod = 3 * time.Second
+// Period is the sampling cadence on the sim clock: the paper's
+// SignalCapturer samples /proc/meminfo and /proc/vmstat every 3 s in
+// the MP-Simulator experiments (§4.1).
+const Period = 3 * time.Second
 
-// DefaultRingCapacity bounds retained samples per series when
-// Config.RingCapacity is zero. At the 3 s default cadence this holds
-// ~3.4 hours of simulation — effectively unbounded for video-session
-// runs while keeping a hard memory ceiling for fleet-length ones.
-const DefaultRingCapacity = 4096
-
-// Config enables telemetry and sets the sampling parameters. A nil
-// *Config anywhere in the option plumbing means "telemetry off".
-type Config struct {
-	// Period is the sampling cadence on the sim clock. Defaults to
-	// DefaultPeriod (3 s, the SignalCapturer cadence).
-	Period time.Duration
-	// RingCapacity is the maximum retained samples per series; when a
-	// ring fills, the oldest samples are dropped. Defaults to
-	// DefaultRingCapacity.
-	RingCapacity int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Period <= 0 {
-		c.Period = DefaultPeriod
-	}
-	if c.RingCapacity <= 0 {
-		c.RingCapacity = DefaultRingCapacity
-	}
-	return c
-}
+// ringCapacity bounds retained samples per series; when a ring fills,
+// the oldest samples are dropped. At the 3 s cadence it holds ~3.4
+// hours of simulation — effectively unbounded for video-session runs
+// while keeping a hard memory ceiling for fleet-length ones.
+const ringCapacity = 4096
 
 // ring is a fixed-capacity circular buffer of (time, value) samples.
 type ring struct {
@@ -85,7 +63,6 @@ func (r *ring) unroll() (times []time.Duration, vals []float64) {
 type Sampler struct {
 	clock  *simclock.Clock
 	reg    *Registry
-	cfg    Config
 	series map[string]*ring
 	event  *simclock.Event
 
@@ -106,20 +83,16 @@ type source struct {
 }
 
 // NewSampler registers a repeating sampling event on the clock (first
-// tick after one period) and returns the sampler. Stop cancels it.
-func NewSampler(clock *simclock.Clock, reg *Registry, cfg Config) *Sampler {
+// tick after one Period) and returns the sampler. Stop cancels it.
+func NewSampler(clock *simclock.Clock, reg *Registry) *Sampler {
 	s := &Sampler{
 		clock:  clock,
 		reg:    reg,
-		cfg:    cfg.withDefaults(),
 		series: make(map[string]*ring),
 	}
-	s.event = clock.Every(s.cfg.Period, s.Sample)
+	s.event = clock.Every(Period, s.Sample)
 	return s
 }
-
-// Period returns the effective sampling period.
-func (s *Sampler) Period() time.Duration { return s.cfg.Period }
 
 // Registry returns the registry the sampler reads.
 func (s *Sampler) Registry() *Registry { return s.reg }
@@ -161,7 +134,7 @@ func (s *Sampler) rebuildPlan() {
 	for _, name := range names {
 		src := source{rg: s.series[name]}
 		if src.rg == nil {
-			src.rg = newRing(s.cfg.RingCapacity)
+			src.rg = newRing(ringCapacity)
 			s.series[name] = src.rg
 		}
 		if c, ok := s.reg.counters[name]; ok {
@@ -192,7 +165,7 @@ func (s *Sampler) Dump() *Dump {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	d := &Dump{Period: s.cfg.Period}
+	d := &Dump{Period: Period}
 	for _, name := range names {
 		times, vals := s.series[name].unroll()
 		d.Series = append(d.Series, Series{Name: name, Times: times, Values: vals})

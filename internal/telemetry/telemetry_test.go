@@ -133,12 +133,12 @@ func TestSamplerCollectsSeries(t *testing.T) {
 	clock := simclock.New(1)
 	reg := NewRegistry()
 	c := reg.Counter("events")
-	s := NewSampler(clock, reg, Config{Period: time.Second})
-	if s.Period() != time.Second || s.Registry() != reg {
-		t.Fatal("sampler config not applied")
+	s := NewSampler(clock, reg)
+	if s.Registry() != reg {
+		t.Fatal("sampler registry not applied")
 	}
-	clock.Every(time.Second/2, func() { c.Inc() })
-	clock.RunUntil(3 * time.Second)
+	clock.Every(Period/2, func() { c.Inc() })
+	clock.RunUntil(3 * Period)
 
 	d := s.Dump()
 	es := d.Find("events")
@@ -156,7 +156,7 @@ func TestSamplerCollectsSeries(t *testing.T) {
 			t.Fatalf("sample %d = %v, want %v (series %v)", i, es.Values[i], want, es.Values)
 		}
 	}
-	if es.Times[0] != time.Second || es.Times[2] != 3*time.Second {
+	if es.Times[0] != Period || es.Times[2] != 3*Period {
 		t.Fatalf("times = %v", es.Times)
 	}
 }
@@ -164,20 +164,20 @@ func TestSamplerCollectsSeries(t *testing.T) {
 func TestSamplerLateRegistrationAndEdgeSample(t *testing.T) {
 	clock := simclock.New(1)
 	reg := NewRegistry()
-	s := NewSampler(clock, reg, Config{Period: time.Second})
+	s := NewSampler(clock, reg)
 	reg.Gauge("early").Set(1)
-	clock.At(1500*time.Millisecond, func() { reg.Gauge("late").Set(9) })
-	clock.RunUntil(2500 * time.Millisecond)
-	s.Sample() // edge sample at 2.5s, off the period grid
+	clock.At(Period*3/2, func() { reg.Gauge("late").Set(9) })
+	clock.RunUntil(Period * 5 / 2)
+	s.Sample() // edge sample at 2.5 periods, off the period grid
 	d := s.Dump()
 	early, late := d.Find("early"), d.Find("late")
 	if early == nil || len(early.Times) != 3 {
 		t.Fatalf("early = %+v", early)
 	}
 	if late == nil || len(late.Times) != 2 {
-		t.Fatalf("late = %+v (want samples at 2s and 2.5s)", late)
+		t.Fatalf("late = %+v (want samples at 2 and 2.5 periods)", late)
 	}
-	if late.Times[0] != 2*time.Second || late.Times[1] != 2500*time.Millisecond {
+	if late.Times[0] != 2*Period || late.Times[1] != Period*5/2 {
 		t.Fatalf("late times = %v", late.Times)
 	}
 }
@@ -187,20 +187,18 @@ func TestSamplerRingEviction(t *testing.T) {
 	reg := NewRegistry()
 	tick := 0
 	reg.SampleFunc("t", func() float64 { tick++; return float64(tick) })
-	s := NewSampler(clock, reg, Config{Period: time.Second, RingCapacity: 3})
-	clock.RunUntil(10 * time.Second)
+	s := NewSampler(clock, reg)
+	// Two ticks past capacity: the ring keeps ticks 3..ringCapacity+2.
+	clock.RunUntil((ringCapacity + 2) * Period)
 	d := s.Dump()
 	ts := d.Find("t")
-	if len(ts.Times) != 3 {
-		t.Fatalf("retained = %d, want 3", len(ts.Times))
+	if len(ts.Times) != ringCapacity {
+		t.Fatalf("retained = %d, want %d", len(ts.Times), ringCapacity)
 	}
-	for i, want := range []float64{8, 9, 10} {
-		if ts.Values[i] != want {
-			t.Fatalf("ring = %v, want [8 9 10]", ts.Values)
+	for i := range ts.Values {
+		if want := float64(i + 3); ts.Values[i] != want || ts.Times[i] != time.Duration(i+3)*Period {
+			t.Fatalf("ring[%d] = (%v, %v), want (%v, %v)", i, ts.Times[i], ts.Values[i], time.Duration(i+3)*Period, want)
 		}
-	}
-	if ts.Times[0] != 8*time.Second {
-		t.Fatalf("ring times = %v", ts.Times)
 	}
 }
 
@@ -208,10 +206,10 @@ func TestSamplerStop(t *testing.T) {
 	clock := simclock.New(1)
 	reg := NewRegistry()
 	reg.Gauge("g").Set(1)
-	s := NewSampler(clock, reg, Config{Period: time.Second})
-	clock.RunUntil(2 * time.Second)
+	s := NewSampler(clock, reg)
+	clock.RunUntil(2 * Period)
 	s.Stop()
-	clock.RunUntil(10 * time.Second)
+	clock.RunUntil(10 * Period)
 	if got := len(s.Dump().Find("g").Times); got != 2 {
 		t.Fatalf("samples after stop = %d, want 2", got)
 	}
@@ -240,8 +238,8 @@ func TestWriteJSONValid(t *testing.T) {
 	reg.Histogram("h").Observe(5 * time.Microsecond)
 	clock := simclock.New(1)
 	reg.Counter("c").Add(2)
-	s := NewSampler(clock, reg, Config{Period: time.Second})
-	clock.RunUntil(2 * time.Second)
+	s := NewSampler(clock, reg)
+	clock.RunUntil(2 * Period)
 	var sb strings.Builder
 	if err := s.Dump().WriteJSON(&sb); err != nil {
 		t.Fatal(err)
@@ -264,7 +262,7 @@ func TestWriteJSONValid(t *testing.T) {
 	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, sb.String())
 	}
-	if doc.PeriodSec != 1 || len(doc.Series) != 1 || doc.Series[0].Name != "c" {
+	if doc.PeriodSec != 3 || len(doc.Series) != 1 || doc.Series[0].Name != "c" {
 		t.Fatalf("doc = %+v", doc)
 	}
 	if len(doc.Histograms) != 1 || doc.Histograms[0].Buckets[0].LeMicros != 8 {
@@ -279,8 +277,8 @@ func TestDumpDeterministic(t *testing.T) {
 		c := reg.Counter("z.count")
 		reg.SampleFunc("a.func", func() float64 { return float64(c.Value()) * 0.5 })
 		clock.Every(700*time.Millisecond, func() { c.Add(3) })
-		s := NewSampler(clock, reg, Config{Period: time.Second})
-		clock.RunUntil(30 * time.Second)
+		s := NewSampler(clock, reg)
+		clock.RunUntil(30 * Period)
 		var sb strings.Builder
 		if err := s.Dump().WriteCSV(&sb); err != nil {
 			t.Fatal(err)
@@ -347,7 +345,7 @@ func BenchmarkSampleTick(b *testing.B) {
 		v := float64(len(name))
 		reg.SampleFunc(name, func() float64 { return v })
 	}
-	s := NewSampler(clock, reg, Config{})
+	s := NewSampler(clock, reg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

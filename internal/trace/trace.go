@@ -167,9 +167,6 @@ func (t *Tracer) Transition(tid int, s State, core int, now time.Duration) {
 		r.everRan = true
 		r.lastCore = core
 		t.resolveVictimWait(tid, now)
-	} else if r.state != Running {
-		// Leaving Running resolves the preemptor-run measurements below
-		// via PreemptorStopped; nothing to do here.
 	}
 }
 
